@@ -53,7 +53,6 @@ class JobConfig:
     cutoff: int = 0  # 0 -> per-model default
     out: str = "-"
     fmt: str = "csv"
-    workers: int = 1
     timestamp: bool = True
     fd_step: float | None = None
     quantities: tuple[str, ...] = ()
@@ -72,8 +71,6 @@ class JobConfig:
             raise UsageError("tolerances must be positive")
         if any(count < 1 for *_rest, count in self.axes):
             raise UsageError("grid counts must be >= 1")
-        if self.workers < 1:
-            raise UsageError("workers must be >= 1")
         if self.fmt not in ("csv", "json"):
             raise UsageError(f"unknown format {self.fmt!r}")
 
@@ -156,9 +153,6 @@ def build_config(args: argparse.Namespace) -> JobConfig:
     fmt = pick(getattr(args, "format", None), "format")
     if fmt:
         cfg.fmt = str(fmt)
-    workers = pick(getattr(args, "workers", None), "workers")
-    if workers is not None:
-        cfg.workers = int(workers)
     if getattr(args, "no_header_timestamp", False) or \
             str(file_values.get("timestamp", "true")).lower() in ("0", "false", "no"):
         cfg.timestamp = False
@@ -311,7 +305,10 @@ def cmd_eval(cfg: JobConfig) -> int:
             "methods": list(cfg.methods), "tolerance": cfg.tolerance,
             "version": __version__}
     writer = Writer(cfg, meta)
-    spectrum = eigh(model.hamiltonian(point, fb))
+    # only the spectral sum and the FD twins need every level; the
+    # covariance alone solves for a window of the lowest ones
+    spectrum = (eigh(model.hamiltonian(point, fb))
+                if {"perturbative", "overlap-fd"} & set(cfg.methods) else None)
     results: dict[str, qgt.QGTResult] = {}
     base = {"model": model.name, "n": ",".join(map(str, sel.quantum_numbers))}
     base.update({f"point[{name}]": value
@@ -435,26 +432,15 @@ def cmd_sweep(cfg: JobConfig) -> int:
     meta = {"command": "sweep", "model": model.name,
             "axes": [list(a) for a in cfg.axes], "fixed": cfg.fixed,
             "n": list(cfg.quantum_numbers), "quantities": list(cfg.quantities),
-            "workers": cfg.workers, "tolerance": cfg.tolerance,
+            "tolerance": cfg.tolerance,
             "version": __version__}
     writer = Writer(cfg, meta)
-    points = list(_grid_points(cfg, model))
-
-    def work(values):
+    for values in _grid_points(cfg, model):
         try:
-            return _sweep_one(model, values, cfg)
+            row = _sweep_one(model, values, cfg)
         except (DomainError, NumericalError, ValueError) as exc:
             row = {f"point[{name}]": values[name] for name in model.param_names}
             row["error"] = f"{type(exc).__name__}: {exc}"
-            return row
-
-    if cfg.workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(work, points))
-    else:
-        rows = [work(values) for values in points]
-    for row in rows:  # buffered: deterministic grid order regardless of workers
         writer.add(row)
     writer.flush()
     return EXIT_OK
@@ -554,7 +540,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--method", help="perturbative,overlap-fd,covariance,closed-form|all")
     p.add_argument("--out", help="output path ('-' for stdout)")
     p.add_argument("--format", choices=["csv", "json"], dest="format")
-    p.add_argument("--workers", type=int)
     p.add_argument("--no-header-timestamp", action="store_true",
                    help="suppress the timestamp header line")
     p.add_argument("--fd-step", type=float, dest="fd_step")

@@ -4,6 +4,8 @@ Grammar: numeric literals, parameter names, + - * / ^ (power), parentheses,
 unary minus, and the functions exp, ln (alias log), sqrt, sin, cos, tanh.
 Parsed through the Python ast with a strict node whitelist; nothing else
 evaluates. Unicode x (times), / (divide) and minus variants are normalized.
+Evaluation that leaves the reals (division by zero, overflow, a math
+domain error or a complex power) raises DomainError.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import ast
 import math
 from typing import Callable, Sequence
+
+from .errors import DomainError
 
 _FUNCS = {
     "exp": math.exp,
@@ -103,7 +107,14 @@ def compile_expression(text: str, names: Sequence[str]) -> Callable[..., float]:
     def func(*values: float) -> float:
         if len(values) != len(names):
             raise TypeError(f"expected {len(names)} arguments {names}")
-        return float(evaluate(tree, dict(zip(names, values))))
+        try:
+            # a complex power (negative base, fractional exponent) surfaces
+            # as a TypeError in math.* or in float()
+            return float(evaluate(tree, dict(zip(names, values))))
+        except (ZeroDivisionError, OverflowError, ValueError, TypeError) as exc:
+            raise DomainError(
+                f"{text!r} has no real value at {dict(zip(names, values))}: {exc}"
+            ) from None
 
     func.__name__ = f"expr[{text}]"
     return func

@@ -1,14 +1,18 @@
 """Truncated bosonic Fock-space engine.
 
-Builds dense ladder / position / momentum operator matrices for one or two
-modes, Weyl-ordered products, and gauge-fixed Hermitian eigendecompositions.
+Operators are sparse. Each (modes, cutoff) caches its quadratic monomials
+at unit basis frequency once, on one shared CSR sparsity pattern: the
+identity, q_a, p_a and the symmetrized q_a q_b, p_a p_b and
+(q_a p_a + p_a q_a)/2. An `Operator` is a coefficient vector over them, so
+model builders do their arithmetic on a few coefficients, and the basis
+frequency enters only the coefficients. Eigensolves are gauge-fixed: every
+level by dense LAPACK, or the lowest few by ARPACK.
 Units: hbar = 1; a mode with basis frequency w_b has q = (a + a^dag)/sqrt(2 w_b)
 and p = i sqrt(w_b/2) (a^dag - a).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -17,10 +21,14 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceError, DegeneracyError
+from .errors import ConvergenceError, DegeneracyError, NumericalError
 
 HERMITICITY_RTOL = 1e-12
 DEGENERACY_RTOL = 1e-8
+# Seed of ARPACK's start vector, a fixed normal draw. A uniform vector is
+# symmetric under mode exchange, so Lanczos would never reach the
+# exchange-antisymmetric levels from it.
+START_VECTOR_SEED = 20240817
 
 
 @dataclass(frozen=True)
@@ -65,213 +73,239 @@ def basis(modes: int, cutoff: int, frequency: float | Sequence[float] = 1.0) -> 
     return FockBasis(modes, cutoff, freqs)
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense operator in the truncated Fock basis with a Hermiticity flag."""
+@dataclass(frozen=True, eq=False)
+class Pattern:
+    """Square sparsity pattern in CSR order, closed under transposition and
+    holding the diagonal.
 
-    entries: np.ndarray
-    hermitian: bool = False
+    Entry j sits at (rows[j], cols[j]); entry transpose[j] sits at
+    (cols[j], rows[j]).
+    """
 
-    def __post_init__(self):
-        m = np.asarray(self.entries)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("operator entries must be a square matrix")
-        object.__setattr__(self, "entries", m)
-        if self.hermitian:
-            scale = np.abs(m).max() or 1.0
-            dev = np.abs(m - m.conj().T).max()
-            if dev > HERMITICITY_RTOL * scale:
-                raise ValueError(
-                    f"hermitian flag set but max|A - A^dag| = {dev:.3e} "
-                    f"exceeds {HERMITICITY_RTOL:.0e} * max|A|"
-                )
+    dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    indptr: np.ndarray
+    transpose: np.ndarray
+
+    @classmethod
+    def of(cls, rows: np.ndarray, cols: np.ndarray, dim: int) -> "Pattern":
+        diag = np.arange(dim, dtype=np.int64) * (dim + 1)
+        keys = np.sort(np.concatenate([rows * dim + cols, cols * dim + rows, diag]))
+        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]  # unique
+        rows, cols = np.divmod(keys, dim)
+        return cls(dim, rows, cols, np.searchsorted(rows, np.arange(dim + 1)),
+                   np.searchsorted(keys, cols * dim + rows))
+
+    def matvec(self, data: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        # every row holds its diagonal, so no reduceat segment is empty
+        return np.add.reduceat(data * vec[self.cols], self.indptr[:-1])
+
+
+@dataclass(frozen=True, eq=False)
+class Monomials:
+    """Quadratic monomials of a (modes, cutoff) basis at unit frequency.
+
+    Monomial k is phases[k] * data[k] on the shared pattern. data is real;
+    the phase is 1j for p_a and (q_a p_a + p_a q_a)/2 and 1 otherwise, so
+    every monomial is Hermitian. index maps the keys ("1",), ("q", a),
+    ("p", a), ("qq", a, b), ("pp", a, b) (a <= b) and ("qp", a) to k.
+    """
+
+    pattern: Pattern
+    index: dict
+    data: np.ndarray
+    phases: np.ndarray
+
+    def operator(self, key: tuple, scale: float = 1.0) -> "Operator":
+        coeffs = np.zeros(len(self.index))
+        coeffs[self.index[key]] = scale
+        return Operator(self, coeffs)
+
+
+def _kron_entries(factors: Sequence[np.ndarray]):
+    """(rows, cols, values) of the nonzeros of a Kronecker product whose
+    first factor is the slowest index."""
+    rows = cols = np.zeros(1, dtype=np.int64)
+    values = np.ones(1)
+    for f in factors:
+        r, c = np.nonzero(f)
+        rows = (rows[:, None] * f.shape[0] + r).ravel()
+        cols = (cols[:, None] * f.shape[0] + c).ravel()
+        values = (values[:, None] * f[r, c]).ravel()
+    return rows, cols, values
+
+
+@lru_cache(maxsize=8)
+def monomials(modes: int, cutoff: int) -> Monomials:
+    """The unit-frequency monomials of a basis shape, built once.
+
+    Single-mode factors are dense cutoff x cutoff matrices. A multimode
+    monomial is the Kronecker product of its factors, which keeps their
+    exact (anti)symmetry.
+    """
+    a = np.diag(np.sqrt(np.arange(1, cutoff)), 1)
+    eye = np.eye(cutoff)
+    q = (a + a.T) / math.sqrt(2.0)
+    p = (a.T - a) / math.sqrt(2.0)  # the momentum is 1j * p
+    qq, pp, qp = q @ q, -(p @ p), 0.5 * (q @ p + p @ q)
+
+    def placed(at: dict) -> list:  # mode -> factor, identity elsewhere
+        return [at.get(m, eye) for m in range(modes)]
+
+    terms = {("1",): (placed({}), 1)}
+    for m in range(modes):
+        terms[("q", m)] = (placed({m: q}), 1)
+        terms[("p", m)] = (placed({m: p}), 1j)
+    for m in range(modes):
+        terms[("qq", m, m)] = (placed({m: 0.5 * (qq + qq.T)}), 1)
+        terms[("pp", m, m)] = (placed({m: 0.5 * (pp + pp.T)}), 1)
+        for n in range(m + 1, modes):  # distinct modes commute
+            terms[("qq", m, n)] = (placed({m: q, n: q}), 1)
+            terms[("pp", m, n)] = (placed({m: -p, n: p}), 1)  # (1j p)(1j p)
+    for m in range(modes):
+        terms[("qp", m)] = (placed({m: 0.5 * (qp - qp.T)}), 1j)
+
+    dim = cutoff ** modes
+    entries = [_kron_entries(factors) for factors, _ in terms.values()]
+    pattern = Pattern.of(np.concatenate([e[0] for e in entries]),
+                         np.concatenate([e[1] for e in entries]), dim)
+    keys = pattern.rows * dim + pattern.cols
+    data = np.zeros((len(terms), len(keys)))
+    for k, (rows, cols, values) in enumerate(entries):
+        data[k, np.searchsorted(keys, rows * dim + cols)] = values
+    phases = np.array([phase for _, phase in terms.values()], dtype=complex)
+    return Monomials(pattern, {key: k for k, key in enumerate(terms)}, data, phases)
+
+
+class Operator:
+    """A linear combination of a basis's quadratic monomials.
+
+    Arithmetic acts on the coefficient vector, so building an operator costs
+    a few small vector operations; its matrix entries are formed once, by
+    `data`, as one combination of the monomial data arrays.
+    """
+
+    __slots__ = ("monomials", "coeffs")
+    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
+
+    def __init__(self, monomials: Monomials, coeffs: np.ndarray):
+        self.monomials = monomials
+        self.coeffs = coeffs
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.monomials.pattern.dim
 
-    @classmethod
-    def _trusted(cls, entries: np.ndarray, hermitian: bool) -> "OperatorMatrix":
-        """Skip validation; used where Hermiticity is exact by construction
-        (conjugation commutes with IEEE add/sub and real scalar products)."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "entries", entries)
-        object.__setattr__(obj, "hermitian", hermitian)
-        return obj
+    @property
+    def hermitian(self) -> bool:
+        """Every monomial is Hermitian, so real coefficients make the sum so."""
+        return not np.iscomplexobj(self.coeffs) or not self.coeffs.imag.any()
 
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix._trusted(self.entries.conj().T, self.hermitian)
+    def adjoint(self) -> "Operator":
+        return Operator(self.monomials, np.conj(self.coeffs))
 
-    # Small arithmetic layer so model builders read like the formulas.
+    def data(self) -> np.ndarray:
+        """Matrix entries on the shared pattern, real when they can be."""
+        weights = self.coeffs * self.monomials.phases
+        out = weights.real @ self.monomials.data
+        if weights.imag.any():
+            out = out + 1j * (weights.imag @ self.monomials.data)
+        return out
+
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        """The dense vector op |vec>."""
+        return self.monomials.pattern.matvec(self.data(), vec)
+
     def __add__(self, other):
-        if isinstance(other, OperatorMatrix):
-            return OperatorMatrix._trusted(self.entries + other.entries,
-                                           self.hermitian and other.hermitian)
-        if np.isscalar(other):  # scalar: shift by other * identity
-            herm = self.hermitian and np.imag(other) == 0
-            return OperatorMatrix._trusted(
-                self.entries + other * np.eye(self.dim), bool(herm))
+        if isinstance(other, Operator):
+            if other.monomials is not self.monomials:
+                raise ValueError("operators belong to bases of different shape")
+            return Operator(self.monomials, self.coeffs + other.coeffs)
+        if np.isscalar(other):  # shift by other * identity
+            coeffs = self.coeffs.astype(np.result_type(self.coeffs, other))
+            coeffs[self.monomials.index[("1",)]] += other
+            return Operator(self.monomials, coeffs)
         return NotImplemented
 
     __radd__ = __add__
 
+    def __neg__(self) -> "Operator":
+        return Operator(self.monomials, -self.coeffs)
+
     def __sub__(self, other):
-        return self.__add__(-1 * other if isinstance(other, OperatorMatrix) else -other)
+        return self + (-other)
 
     def __rsub__(self, other):
-        return (-1 * self).__add__(other)
+        return (-self) + other
 
     def __mul__(self, scalar):
         if not np.isscalar(scalar):
             return NotImplemented
-        real = np.imag(scalar) == 0
-        return OperatorMatrix._trusted(scalar * self.entries,
-                                       self.hermitian and bool(real))
+        return Operator(self.monomials, scalar * self.coeffs)
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        if not isinstance(other, OperatorMatrix):
-            return NotImplemented
-        return OperatorMatrix._trusted(self.entries @ other.entries, hermitian=False)
 
-    def assert_hermitian(self) -> "OperatorMatrix":
-        """Re-tag the matrix as Hermitian (validates)."""
-        return OperatorMatrix(self.entries, hermitian=True)
-
-
-def identity(fb: FockBasis) -> OperatorMatrix:
-    return OperatorMatrix(np.eye(fb.dim), hermitian=True)
-
-
-def _embed(fb: FockBasis, single: np.ndarray, mode: int) -> np.ndarray:
-    """Kronecker-embed a single-mode matrix; mode 0 is the slowest index."""
-    out = single
-    eye = np.eye(fb.cutoff)
-    for m in range(mode):
-        out = np.kron(eye, out)
-    for m in range(mode + 1, fb.modes):
-        out = np.kron(out, eye)
-    return out
-
-
-def ladder(fb: FockBasis, mode: int = 0) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Annihilation/creation pair (a, a^dag) acting on the given mode.
-
-    a|n> = sqrt(n)|n-1>, truncated at the cutoff; identity on other modes.
-    """
-    if not 0 <= mode < fb.modes:
-        raise ValueError(f"mode {mode} out of range for {fb.modes}-mode basis")
-    a1 = np.diag(np.sqrt(np.arange(1, fb.cutoff)), 1)
-    a = _embed(fb, a1, mode)
-    return OperatorMatrix(a), OperatorMatrix(a.T.copy())
-
-
-def position_momentum(fb: FockBasis, mode: int = 0) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Dimensionless q and p for one mode, [q, p] = i up to the truncation edge."""
-    a, adag = ladder(fb, mode)
-    wb = fb.frequencies[mode]
-    q = (a.entries + adag.entries) / math.sqrt(2.0 * wb)
-    p = 1j * math.sqrt(wb / 2.0) * (adag.entries - a.entries)
-    return OperatorMatrix(q, hermitian=True), OperatorMatrix(p, hermitian=True)
-
-
-def weyl_product(*ops: OperatorMatrix) -> OperatorMatrix:
-    """Fully symmetrized (Weyl-ordered) product: average over all orderings."""
-    if not ops:
-        raise ValueError("weyl_product needs at least one operand")
-    dim = ops[0].dim
-    if any(o.dim != dim for o in ops):
-        raise ValueError("operand dimensions differ")
-    if len(ops) == 1:
-        return ops[0]
-    acc = np.zeros((dim, dim), dtype=complex)
-    perms = list(itertools.permutations(range(len(ops))))
-    for perm in perms:
-        term = ops[perm[0]].entries
-        for k in perm[1:]:
-            term = term @ ops[k].entries
-        acc += term
-    acc /= len(perms)
-    herm = all(o.hermitian for o in ops)
-    if herm:
-        acc = 0.5 * (acc + acc.conj().T)  # kill roundoff asymmetry
-    return OperatorMatrix(acc, hermitian=herm)
+def identity(fb: FockBasis) -> Operator:
+    return monomials(fb.modes, fb.cutoff).operator(("1",))
 
 
 @dataclass(frozen=True)
 class QuadraticSet:
-    """Point-independent quadratic monomials of a basis, built once.
+    """q_a, p_a and their symmetrized pairwise products for one basis."""
 
-    Hamiltonians and deformation operators of the catalog models are linear
-    combinations of these, so caching them turns every rebuild at a displaced
-    parameter point into O(dim^2) scalar work instead of O(dim^3) products.
-    Matrices are shared; treat them as read-only.
-    """
-
-    qs: tuple[OperatorMatrix, ...]
-    ps: tuple[OperatorMatrix, ...]
-    qq: dict  # (a, b) a <= b -> q_a q_b symmetrized (real entries)
-    pp: dict  # (a, b) a <= b -> p_a p_b symmetrized (real entries)
-    qp: tuple[OperatorMatrix, ...]  # same-mode (q_a p_a + p_a q_a)/2
-
-    def qq_at(self, a: int, b: int) -> OperatorMatrix:
-        return self.qq[(a, b) if a <= b else (b, a)]
-
-    def pp_at(self, a: int, b: int) -> OperatorMatrix:
-        return self.pp[(a, b) if a <= b else (b, a)]
+    qs: tuple[Operator, ...]
+    ps: tuple[Operator, ...]
+    qq: dict  # (a, b) a <= b -> q_a q_b symmetrized
+    pp: dict  # (a, b) a <= b -> p_a p_b symmetrized
+    qp: tuple[Operator, ...]  # same-mode (q_a p_a + p_a q_a)/2
 
 
-@lru_cache(maxsize=4)
-def _unit_quadratics(modes: int, cutoff: int):
-    """Raw monomial matrices at unit basis frequency (the expensive products)."""
-    fb1 = FockBasis(modes, cutoff, (1.0,) * modes)
-    qmats, pims = [], []
-    for a in range(modes):
-        q, p = position_momentum(fb1, a)
-        # q is real; p is purely imaginary, so its imaginary part carries it
-        qmats.append(np.ascontiguousarray(q.entries.real))
-        pims.append(np.ascontiguousarray(p.entries.imag))
-    qq, pp, qp = {}, {}, []
-    for a in range(modes):
-        for b in range(a, modes):
-            qab = qmats[a] @ qmats[b]
-            qq[(a, b)] = 0.5 * (qab + qab.T)
-            pab = -(pims[a] @ pims[b])
-            pp[(a, b)] = 0.5 * (pab + pab.T)
-    for a in range(modes):
-        qp.append(0.5 * (qmats[a] @ pims[a] + pims[a] @ qmats[a]))
-    return qmats, pims, qq, pp, qp
-
-
-@lru_cache(maxsize=4)
 def quadratics(fb: FockBasis) -> QuadraticSet:
     """All q_a, p_a and their symmetrized pairwise products for a basis.
 
-    Built by rescaling cached unit-frequency monomials: q scales as
-    w_b^(-1/2) and p as w_b^(1/2) per mode, so no matrix products are needed
-    when only the basis frequency changes (as it does along every parameter
-    sweep and finite-difference stencil).
+    The cached unit-frequency monomials are shared; the basis frequency
+    scales only the coefficients, q as w_b^(-1/2) and p as w_b^(1/2) per mode.
     """
-    qmats, pims, qq1, pp1, qp1 = _unit_quadratics(fb.modes, fb.cutoff)
+    mono = monomials(fb.modes, fb.cutoff)
     root = [math.sqrt(w) for w in fb.frequencies]
-    qs = tuple(OperatorMatrix(qmats[a] / root[a], hermitian=True)
-               for a in range(fb.modes))
-    ps = tuple(OperatorMatrix(1j * (root[a] * pims[a]), hermitian=True)
-               for a in range(fb.modes))
-    qq = {key: OperatorMatrix(mat / (root[key[0]] * root[key[1]]), hermitian=True)
-          for key, mat in qq1.items()}
-    pp = {key: OperatorMatrix(mat * (root[key[0]] * root[key[1]]), hermitian=True)
-          for key, mat in pp1.items()}
-    qp = tuple(OperatorMatrix(1j * mat, hermitian=True) for mat in qp1)
-    return QuadraticSet(qs, ps, qq, pp, qp)
+    pairs = [(a, b) for a in range(fb.modes) for b in range(a, fb.modes)]
+    return QuadraticSet(
+        tuple(mono.operator(("q", a), 1.0 / root[a]) for a in range(fb.modes)),
+        tuple(mono.operator(("p", a), root[a]) for a in range(fb.modes)),
+        {(a, b): mono.operator(("qq", a, b), 1.0 / (root[a] * root[b])) for a, b in pairs},
+        {(a, b): mono.operator(("pp", a, b), root[a] * root[b]) for a, b in pairs},
+        tuple(mono.operator(("qp", a)) for a in range(fb.modes)),
+    )
+
+
+def position_momentum(fb: FockBasis, mode: int = 0) -> tuple[Operator, Operator]:
+    """Dimensionless q and p for one mode, [q, p] = i up to the truncation edge."""
+    if not 0 <= mode < fb.modes:
+        raise ValueError(f"mode {mode} out of range for {fb.modes}-mode basis")
+    quads = quadratics(fb)
+    return quads.qs[mode], quads.ps[mode]
+
+
+def ladder(fb: FockBasis, mode: int = 0) -> tuple[Operator, Operator]:
+    """Annihilation/creation pair (a, a^dag) acting on the given mode.
+
+    a|n> = sqrt(n)|n-1>, truncated at the cutoff; identity on other modes.
+    """
+    q, p = position_momentum(fb, mode)
+    w = fb.frequencies[mode]
+    half_q = math.sqrt(w / 2.0) * q
+    half_p = (1j / math.sqrt(2.0 * w)) * p
+    return half_q + half_p, half_q - half_p
 
 
 @dataclass(frozen=True)
 class Spectrum:
     """Eigendecomposition with a deterministic phase convention.
 
-    energies are ascending; states holds unit-norm column eigenvectors whose
+    energies are ascending (all levels, or the lowest few of a windowed
+    solve); states holds unit-norm column eigenvectors whose
     largest-magnitude component is real and positive.
     """
 
@@ -281,6 +315,7 @@ class Spectrum:
 
     @property
     def dim(self) -> int:
+        """Number of levels held."""
         return len(self.energies)
 
     def vector(self, k: int) -> np.ndarray:
@@ -288,10 +323,6 @@ class Spectrum:
 
     def gap_scale(self) -> float:
         return float(np.abs(self.energies).max() or 1.0)
-
-    def flagged_gaps(self, rtol: float = DEGENERACY_RTOL) -> np.ndarray:
-        """Boolean mask over adjacent gaps |E_{k+1} - E_k| < rtol * max|E|."""
-        return np.diff(self.energies) < rtol * self.gap_scale()
 
     def min_gap(self, k: int, upto: int | None = None) -> float:
         """Smallest |E_m - E_k| over m != k (restricted to the first `upto`)."""
@@ -322,34 +353,66 @@ def gauge_fix(states: np.ndarray) -> np.ndarray:
     return states * (np.conj(pivots) / mags)
 
 
-def eigh(op: OperatorMatrix) -> Spectrum:
-    """Gauge-fixed Hermitian eigendecomposition.
+def _hermitian_entries(op) -> tuple[Pattern, np.ndarray]:
+    """Pattern and symmetrized entries of a Hermitian operator or matrix."""
+    if isinstance(op, Operator):
+        pattern, data = op.monomials.pattern, op.data()
+    else:
+        m = op.toarray() if hasattr(op, "toarray") else np.asarray(op)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("eigh needs a square matrix")
+        pattern = Pattern.of(*np.nonzero(m), m.shape[0])
+        data = m[pattern.rows, pattern.cols]
+    adjoint = np.conj(data[pattern.transpose])
+    scale = np.abs(data).max() or 1.0
+    defect = np.abs(data - adjoint).max()
+    if defect > HERMITICITY_RTOL * scale:
+        raise ValueError(
+            f"eigh needs a Hermitian matrix, but max|A - A^dag| = {defect:.3e} "
+            f"exceeds {HERMITICITY_RTOL:.0e} * max|A|"
+        )
+    data = 0.5 * (data + adjoint)
+    if np.iscomplexobj(data) and np.abs(data.imag).max() <= HERMITICITY_RTOL * scale:
+        data = data.real
+    return pattern, data
 
-    Real-symmetric input (up to the Hermiticity tolerance) takes the faster
-    real LAPACK path; eigenvectors then stay real.
+
+def _lowest_levels(pattern: Pattern, data: np.ndarray, k: int):
+    """The k lowest eigenpairs by ARPACK (implicitly restarted Lanczos)."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.linalg import ArpackError, eigsh
+
+    n = pattern.dim
+    matrix = csr_array((data, pattern.cols, pattern.indptr), shape=(n, n))
+    v0 = np.random.default_rng(START_VECTOR_SEED).standard_normal(n)
+    try:
+        energies, states = eigsh(matrix, k=k, which="SA",
+                                 v0=(v0 / np.linalg.norm(v0)).astype(data.dtype))
+    except ArpackError as exc:  # no convergence included
+        raise NumericalError(f"ARPACK failed on the {k} lowest levels: {exc}") from None
+    order = np.argsort(energies)
+    return energies[order], states[:, order]
+
+
+def eigh(op, lowest: int | None = None) -> Spectrum:
+    """Gauge-fixed Hermitian eigendecomposition, ascending.
+
+    op is an Operator or a square matrix (dense or scipy.sparse); either must
+    be Hermitian to HERMITICITY_RTOL. By default every level comes from dense
+    LAPACK (evd driver). lowest=k asks for the k lowest levels only, from
+    ARPACK with a fixed start vector; k >= dim - 1 takes the full solve.
+    Real-symmetric input takes the real path, and eigenvectors stay real.
     """
-    if not op.hermitian:
-        raise ValueError("eigh requires the hermitian flag to be set")
-    m = op.entries
-    if np.iscomplexobj(m):
-        scale = np.abs(m).max() or 1.0
-        if np.abs(m.imag).max() <= HERMITICITY_RTOL * scale:
-            m = m.real
-    m = 0.5 * (m + m.conj().T)
-    energies, states = scipy.linalg.eigh(m, driver="evd")
+    if lowest is not None and lowest < 1:
+        raise ValueError("lowest must be a positive level count")
+    pattern, data = _hermitian_entries(op)
+    if lowest is not None and lowest < pattern.dim - 1:
+        energies, states = _lowest_levels(pattern, data, lowest)
+    else:
+        dense = np.zeros((pattern.dim, pattern.dim), dtype=data.dtype)
+        dense[pattern.rows, pattern.cols] = data
+        energies, states = scipy.linalg.eigh(dense, driver="evd")
     return Spectrum(energies, gauge_fix(states))
-
-
-def expectation(op: OperatorMatrix, state: np.ndarray) -> complex:
-    """<state|op|state> for a unit-norm vector of matching dimension."""
-    state = np.asarray(state)
-    if state.shape != (op.dim,):
-        raise ValueError("state dimension does not match operator")
-    return complex(np.vdot(state, op.entries @ state))
-
-
-def commutator(a: OperatorMatrix, b: OperatorMatrix) -> np.ndarray:
-    return a.entries @ b.entries - b.entries @ a.entries
 
 
 @dataclass(frozen=True)

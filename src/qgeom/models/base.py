@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import DomainError
-from ..fock import FockBasis, OperatorMatrix, basis as make_basis, quadratics
+from ..fock import FockBasis, Operator, basis as make_basis, quadratics
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class Model(ABC):
     """A parameter-dependent Hamiltonian family with closed-form oracles.
 
     Concrete models define the Hamiltonian/deformation builders (Weyl-ordered
-    operator matrices in a Fock basis), the normal-mode data, and a catalog of
+    sparse operators in a Fock basis), the normal-mode data, and a catalog of
     closed-form quantities used as regression oracles.
     """
 
@@ -110,19 +110,19 @@ class Model(ABC):
         return list(quads.qs), list(quads.ps)
 
     @abstractmethod
-    def hamiltonian(self, point: ParamPoint, fb: FockBasis) -> OperatorMatrix:
+    def hamiltonian(self, point: ParamPoint, fb: FockBasis) -> Operator:
         ...
 
     @abstractmethod
-    def deformations(self, point: ParamPoint, fb: FockBasis) -> dict[str, OperatorMatrix]:
+    def deformations(self, point: ParamPoint, fb: FockBasis) -> dict[str, Operator]:
         """Weyl-ordered dH/dz for every key in self.labels."""
 
     @abstractmethod
     def normal_modes(self, point: ParamPoint) -> NormalModeData:
         ...
 
-    def normal_mode_ladders(self, point: ParamPoint, fb: FockBasis) -> list[OperatorMatrix]:
-        """Lowering operators b_i of the analytic normal modes, as matrices.
+    def normal_mode_ladders(self, point: ParamPoint, fb: FockBasis) -> list[Operator]:
+        """Lowering operators b_i of the analytic normal modes.
 
         Default: the model supplies normal coordinates via `normal_coordinates`;
         b_i = sqrt(w_i/2) Q_i + i P_i / sqrt(2 w_i).
@@ -131,8 +131,7 @@ class Model(ABC):
         out = []
         for i, (Q, P) in enumerate(self.normal_coordinates(point, fb)):
             w = data.frequencies[i]
-            b = math.sqrt(w / 2.0) * Q.entries + 1j * P.entries / math.sqrt(2.0 * w)
-            out.append(OperatorMatrix(b))
+            out.append(math.sqrt(w / 2.0) * Q + (1j / math.sqrt(2.0 * w)) * P)
         return out
 
     def normal_coordinates(self, point: ParamPoint, fb: FockBasis):

@@ -57,6 +57,11 @@ class GaussianModel(Model):
         s = self._sigma(*point.values)
         if not (math.isfinite(s) and s > 0):
             raise DomainError(f"sigma(lambda) must be positive, got {s}")
+        try:  # the Hamiltonian carries sigma^-4 and the deformations sigma^-5
+            s ** 5 * s ** -5
+        except OverflowError:
+            raise DomainError(f"sigma(lambda) = {s:.3e} puts sigma^5 or sigma^-5 "
+                              "out of floating-point range") from None
         if not math.isfinite(self._mu(*point.values)):
             raise DomainError("mu(lambda) must be finite")
 

@@ -71,14 +71,33 @@ class SelectedState:
     overlap: float
 
 
+def _levels_at_or_below(model: Model, point: ParamPoint, qn: tuple[int, ...],
+                        cutoff: int) -> int:
+    """Analytic normal-mode levels, occupations below the cutoff, whose
+    excitation energy sum w_a m_a does not exceed that of `qn`."""
+    freqs = np.asarray(model.normal_modes(point).frequencies)
+    grid = np.indices((cutoff,) * len(qn)).reshape(len(qn), -1)
+    return int(np.count_nonzero(freqs @ grid <= freqs @ np.asarray(qn)))
+
+
 def select_state(model: Model, point: ParamPoint, sel: StateSelector,
                  fb: FockBasis, spectrum: Spectrum | None = None) -> SelectedState:
-    """Locate the eigenstate named by the selector's quantum numbers."""
+    """Locate the eigenstate named by the selector's quantum numbers.
+
+    Without a spectrum, only a window of the lowest levels is solved for:
+    n + 3 in energy order, and in overlap tracking the analytic normal-mode
+    levels at or below the target plus 2.
+    """
     qn = model._check_qn(sel.quantum_numbers)
-    spec = spectrum if spectrum is not None else eigh(model.hamiltonian(point, fb))
-    if sel.mode(model) == "energy-order":
-        if model.dof != 1:
-            raise ValueError("energy-order resolution is only safe for one mode")
+    tracking = sel.mode(model) == "overlap-track"
+    if not tracking and model.dof != 1:
+        raise ValueError("energy-order resolution is only safe for one mode")
+    spec = spectrum
+    if spec is None:
+        window = (_levels_at_or_below(model, point, qn, fb.cutoff) + 2 if tracking
+                  else qn[0] + 3)
+        spec = eigh(model.hamiltonian(point, fb), lowest=window)
+    if not tracking:
         idx = qn[0]
         if idx >= spec.dim:
             raise ValueError(f"state {idx} beyond basis dimension {spec.dim}")
@@ -86,9 +105,9 @@ def select_state(model: Model, point: ParamPoint, sel: StateSelector,
     ladders = model.normal_mode_ladders(point, fb)
     target = spec.vector(0).astype(complex)
     for b, n in zip(ladders, qn):
-        raise_op = b.entries.conj().T
+        raising = b.adjoint()
         for _ in range(n):
-            target = raise_op @ target
+            target = raising.apply(target)
     norm = np.linalg.norm(target)
     if norm == 0:
         raise StateTrackingError("normal-mode target state vanished (cutoff too small)")
@@ -174,7 +193,7 @@ def qgt_perturbative(model: Model, point: ParamPoint, sel: StateSelector,
     ops = model.deformations(point, fb)
     labels = model.labels
     vecs = spec.states[:, :keep]
-    amps = [vecs.conj().T @ (ops[name].entries @ state.vector) for name in labels]
+    amps = [vecs.conj().T @ ops[name].apply(state.vector) for name in labels]
     denom = (spec.energies[:keep] - state.energy) ** 2
     denom[state.index] = np.inf
     inv = 1.0 / denom
@@ -277,7 +296,7 @@ def covariance_from_state(model: Model, point: ParamPoint, sel: StateSelector,
     quads = qs + ps
     vec = state.vector.astype(complex)
     # for Hermitian r_i: <{r_i, r_j}>/2 = Re[(r_i v)^dag (r_j v)]
-    images = [op.entries @ vec for op in quads]
+    images = [op.apply(vec) for op in quads]
     firsts = np.array([np.vdot(vec, w).real for w in images])
     n2 = len(quads)
     sigma = np.empty((n2, n2))

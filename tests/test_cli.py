@@ -40,6 +40,15 @@ def test_eval_domain_message(capsys):
     assert "XZ - Y^2" in captured.err
 
 
+@pytest.mark.parametrize("sigma", ["1/(l1-l1)", "9^9^9", "exp(1000*l1)"])
+def test_expression_failure_exit_2(capsys, sigma):
+    # division by zero, overflow in the expression, overflow in sigma^-5
+    code = main(["eval", "--model", "gaussian", "--sigma", sigma, "--mu", "l2",
+                 "--params", "l1,l2", "--point", "0.5,0.1", "--n", "0"])
+    assert code == 2
+    assert "domain error" in capsys.readouterr().err
+
+
 def test_unknown_model_exit_2(capsys):
     import subprocess, sys
     proc = subprocess.run([sys.executable, "-m", "qgeom.cli", "eval",
@@ -135,17 +144,6 @@ def test_sweep_error_column_keeps_running(tmp_path):
     assert any(r.get("purity") for r in rows)
 
 
-def test_sweep_workers_deterministic(tmp_path):
-    args = ["sweep", "--model", "sym-coupled", "--axis", "k1=0:2:5",
-            "--fix", "k0=1", "--n", "0,0", CUT, "12",
-            "--quantities", "purity,entropy", "--no-header-timestamp"]
-    f1 = tmp_path / "w1.csv"
-    f2 = tmp_path / "w4.csv"
-    assert main(args + ["--out", str(f1), "--workers", "1"]) == 0
-    assert main(args + ["--out", str(f2), "--workers", "4"]) == 0
-    assert f1.read_bytes() == f2.read_bytes()
-
-
 def test_output_determinism_and_timestamp(tmp_path):
     args = ["eval", "--model", "gho", "--point", "1.5,0.2,1", "--n", "0",
             CUT, "24", "--method", "perturbative"]
@@ -154,6 +152,14 @@ def test_output_determinism_and_timestamp(tmp_path):
     assert main(args + ["--out", str(a), "--no-header-timestamp"]) == 0
     assert main(args + ["--out", str(b), "--no-header-timestamp"]) == 0
     assert a.read_bytes() == b.read_bytes()
+    # the entangle command takes its state from the ARPACK window solve
+    ent = ["entangle", "--model", "sym-coupled", "--point", "1.3,0.7", "--n", "1,2",
+           CUT, "24", "--no-header-timestamp"]
+    e1 = tmp_path / "e1.csv"
+    e2 = tmp_path / "e2.csv"
+    assert main(ent + ["--out", str(e1)]) == 0
+    assert main(ent + ["--out", str(e2)]) == 0
+    assert e1.read_bytes() == e2.read_bytes()
     c = tmp_path / "c.csv"
     assert main(args + ["--out", str(c)]) == 0
     assert c.read_text().startswith("# generated ")
@@ -322,3 +328,22 @@ timestamp = false
     assert main(["sweep", "--config", str(cfg), "--out", str(out_file)]) == 0
     _, rows = parse_csv(out_file.read_text())
     assert len(rows) == 4
+
+
+def test_eval_covariance_solves_no_full_spectrum(monkeypatch, tmp_path):
+    # the covariance pathway alone takes its state from the lowest-levels window
+    import qgeom.cli
+    from qgeom.models import get_model
+
+    def full_spectrum(*args, **kwargs):
+        raise AssertionError("eval built a full spectrum it does not need")
+
+    monkeypatch.setattr(qgeom.cli, "eigh", full_spectrum)
+    out_file = tmp_path / "cov.csv"
+    assert main(["eval", "--model", "sym-coupled", "--point", "1,0.8", "--n", "1,2",
+                 "--method", "covariance,closed-form", CUT, "24",
+                 "--out", str(out_file)]) == 0
+    _, rows = parse_csv(out_file.read_text())
+    model = get_model("sym-coupled")
+    closed = model.closed_form("covariance", model.point(1.0, 0.8), (1, 2))
+    assert float(rows[0]["sigma_re[q1|q1]"]) == pytest.approx(closed[0, 0], abs=1e-8)

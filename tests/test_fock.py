@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from dense_reference import (assert_hermitian, commutator, dagger, dense,
+                             expectation, flagged_gaps, position_momentum,
+                             weyl_product)
 from qgeom import fock
 from qgeom.errors import ConvergenceError
+from qgeom.models import get_model
 
 
 def test_basis_validation():
@@ -21,15 +25,16 @@ def test_ladder_entries():
     expected = np.zeros((3, 3))
     expected[0, 1] = 1.0
     expected[1, 2] = np.sqrt(2.0)
-    np.testing.assert_allclose(a.entries, expected, atol=1e-15)
-    np.testing.assert_allclose(adag.entries, a.entries.conj().T, atol=1e-14)
+    np.testing.assert_allclose(dense(a), expected, atol=1e-15)
+    np.testing.assert_allclose(dense(adag), dagger(dense(a)), atol=1e-14)
+    assert not a.hermitian and not adag.hermitian
 
 
 def test_truncated_commutator():
     # [a, a^dag] = I except the last diagonal entry, which is -(n_max - 1)
     fb = fock.basis(1, 4)
     a, adag = fock.ladder(fb)
-    comm = fock.commutator(a, adag)
+    comm = commutator(dense(a), dense(adag))
     np.testing.assert_allclose(comm, np.diag([1.0, 1.0, 1.0, -3.0]), atol=1e-14)
 
 
@@ -42,7 +47,7 @@ def test_ladder_mode_out_of_range():
 def test_position_two_level():
     fb = fock.basis(1, 2, 1.0)
     q, p = fock.position_momentum(fb)
-    np.testing.assert_allclose(q.entries, np.array([[0, 1], [1, 0]]) / np.sqrt(2),
+    np.testing.assert_allclose(dense(q), np.array([[0, 1], [1, 0]]) / np.sqrt(2),
                                atol=1e-15)
     assert q.hermitian and p.hermitian
 
@@ -53,7 +58,9 @@ def test_vacuum_variance():
         q, _ = fock.position_momentum(fb)
         vac = np.zeros(fb.dim)
         vac[0] = 1.0
-        q2 = fock.expectation(q @ q, vac)
+        np.testing.assert_allclose(np.vdot(q.apply(vac), q.apply(vac)), 1.0 / (2 * wb),
+                                   atol=1e-13)
+        q2 = expectation(dense(q) @ dense(q), vac)
         np.testing.assert_allclose(q2, 1.0 / (2 * wb), atol=1e-13)
 
 
@@ -63,93 +70,125 @@ def test_excited_position_variance():
     q, _ = fock.position_momentum(fb)
     state = np.zeros(fb.dim)
     state[1] = 1.0
-    np.testing.assert_allclose(fock.expectation(q @ q, state), 1.5, atol=1e-13)
-    np.testing.assert_allclose(fock.expectation(q, state), 0.0, atol=1e-14)
+    np.testing.assert_allclose(expectation(dense(q) @ dense(q), state), 1.5, atol=1e-13)
+    np.testing.assert_allclose(expectation(dense(q), state), 0.0, atol=1e-14)
 
 
 def test_canonical_commutator_bulk():
     fb = fock.basis(1, 30, 1.3)
     q, p = fock.position_momentum(fb)
-    comm = fock.commutator(q, p)
+    comm = commutator(dense(q), dense(p))
     bulk = comm[: fb.cutoff - 1, : fb.cutoff - 1]
     np.testing.assert_allclose(bulk, 1j * np.eye(fb.cutoff - 1), atol=1e-12)
 
 
 def test_kron_embedding_commutes_across_modes():
     fb = fock.basis(2, 6, (1.0, 2.0))
-    q1, p1 = fock.position_momentum(fb, 0)
-    q2, p2 = fock.position_momentum(fb, 1)
+    q1, p1 = map(dense, fock.position_momentum(fb, 0))
+    q2, p2 = map(dense, fock.position_momentum(fb, 1))
     for a, b in [(q1, q2), (q1, p2), (p1, q2), (p1, p2)]:
-        assert np.abs(fock.commutator(a, b)).max() <= 1e-12
+        assert np.abs(commutator(a, b)).max() <= 1e-12
 
 
 def test_adjoint_consistency():
     fb = fock.basis(2, 5, (0.7, 1.9))
     for mode in range(2):
         a, adag = fock.ladder(fb, mode)
-        np.testing.assert_allclose(adag.entries, a.entries.conj().T, atol=1e-14)
+        np.testing.assert_allclose(dense(adag), dagger(dense(a)), atol=1e-14)
+        np.testing.assert_allclose(dense(a.adjoint()), dense(adag), atol=1e-14)
 
 
 def test_weyl_product():
     fb = fock.basis(1, 12)
-    q, p = fock.position_momentum(fb)
-    qp = fock.weyl_product(q, p)
-    direct = 0.5 * (q.entries @ p.entries + p.entries @ q.entries)
-    np.testing.assert_allclose(qp.entries, direct, atol=1e-14)
-    assert qp.hermitian
+    q, p = map(dense, fock.position_momentum(fb))
+    qp = weyl_product(q, p)
+    np.testing.assert_allclose(qp, 0.5 * (q @ p + p @ q), atol=1e-14)
+    assert_hermitian(qp)
     # single operand and commuting operands
-    assert fock.weyl_product(q) is q
-    np.testing.assert_allclose(fock.weyl_product(q, q).entries,
-                               q.entries @ q.entries, atol=1e-13)
+    assert weyl_product(q) is q
+    np.testing.assert_allclose(weyl_product(q, q), q @ q, atol=1e-13)
 
 
 def test_weyl_dimension_mismatch():
-    q1, _ = fock.position_momentum(fock.basis(1, 4))
-    q2, _ = fock.position_momentum(fock.basis(1, 5))
+    q1, _ = position_momentum(1, 4, 1.0, 0)
+    q2, _ = position_momentum(1, 5, 1.0, 0)
     with pytest.raises(ValueError):
-        fock.weyl_product(q1, q2)
+        weyl_product(q1, q2)
 
 
 def test_quadratics_match_products():
     fb = fock.basis(2, 5, (0.8, 1.7))
     quads = fock.quadratics(fb)
-    qs, ps = quads.qs, quads.ps
-    for (a, b), mat in quads.qq.items():
-        np.testing.assert_allclose(mat.entries, (qs[a] @ qs[b]).entries, atol=1e-13)
-    for (a, b), mat in quads.pp.items():
-        sym = 0.5 * ((ps[a] @ ps[b]).entries + (ps[b] @ ps[a]).entries)
-        np.testing.assert_allclose(mat.entries, sym, atol=1e-13)
-    for a, mat in enumerate(quads.qp):
-        np.testing.assert_allclose(
-            mat.entries, fock.weyl_product(qs[a], ps[a]).entries, atol=1e-13)
+    qs, ps = [dense(q) for q in quads.qs], [dense(p) for p in quads.ps]
+    for (a, b), op in quads.qq.items():
+        np.testing.assert_allclose(dense(op), qs[a] @ qs[b], atol=1e-13)
+    for (a, b), op in quads.pp.items():
+        np.testing.assert_allclose(dense(op), 0.5 * (ps[a] @ ps[b] + ps[b] @ ps[a]),
+                                   atol=1e-13)
+    for a, op in enumerate(quads.qp):
+        np.testing.assert_allclose(dense(op), weyl_product(qs[a], ps[a]), atol=1e-13)
+
+
+@pytest.mark.parametrize("modes,frequencies", [
+    (1, (0.7,)), (1, (2.3,)), (2, (0.8, 1.7)), (2, (2.1, 0.45)),
+])
+def test_monomials_match_dense_weyl_products(modes, frequencies):
+    # every cached monomial, scaled to the basis frequency, against the
+    # Weyl product of independently built dense q and p
+    cutoff = 7
+    fb = fock.basis(modes, cutoff, frequencies)
+    quads = fock.quadratics(fb)
+    ref = [dict(zip("qp", position_momentum(modes, cutoff, frequencies[a], a)))
+           for a in range(modes)]
+    got = {("1",): fock.identity(fb)}
+    got.update({("q", a): op for a, op in enumerate(quads.qs)})
+    got.update({("p", a): op for a, op in enumerate(quads.ps)})
+    got.update({("qq",) + key: op for key, op in quads.qq.items()})
+    got.update({("pp",) + key: op for key, op in quads.pp.items()})
+    got.update({("qp", a): op for a, op in enumerate(quads.qp)})
+    assert set(got) == set(fock.monomials(modes, cutoff).index)
+    for key, op in got.items():
+        kind, modes_of = key[0], key[1:]
+        if kind == "1":
+            expected = np.eye(fb.dim)
+        elif kind == "qp":
+            expected = weyl_product(ref[modes_of[0]]["q"], ref[modes_of[0]]["p"])
+        else:  # q, p, qq, pp: one factor of the kind per listed mode
+            expected = weyl_product(*(ref[a][kind[0]] for a in modes_of))
+        assert op.hermitian, key
+        np.testing.assert_allclose(dense(op), expected, atol=1e-13, err_msg=str(key))
 
 
 def test_operator_matrix_hermitian_flag():
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
+    fb = fock.basis(1, 6, 1.3)
+    q, p = fock.position_momentum(fb)
+    H = 0.5 * (q - 2.0 * p) + 1.5
+    assert H.hermitian
+    assert_hermitian(dense(H))
+    bad = 1j * q  # anti-Hermitian: the coefficient is not real
+    assert not bad.hermitian
     with pytest.raises(ValueError):
-        fock.OperatorMatrix(bad, hermitian=True)
-    ok = fock.OperatorMatrix(bad)  # fine without the flag
-    assert not ok.hermitian
+        fock.eigh(bad)
+    with pytest.raises(ValueError):
+        q + fock.quadratics(fock.basis(1, 7)).qs[0]  # bases of different shape
 
 
 def test_eigh_identity():
-    op = fock.OperatorMatrix(np.eye(5), hermitian=True)
-    spec = fock.eigh(op)
+    spec = fock.eigh(np.eye(5))
     np.testing.assert_allclose(spec.energies, np.ones(5), atol=1e-14)
     np.testing.assert_allclose(np.abs(spec.states), np.eye(5), atol=1e-14)
 
 
 def test_eigh_rejects_nonhermitian():
-    op = fock.OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
-        fock.eigh(op)
+        fock.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_eigh_unit_oscillator():
     fb = fock.basis(1, 40, 1.0)
-    q, p = fock.position_momentum(fb)
+    q, p = map(dense, fock.position_momentum(fb))
     H = 0.5 * (p @ p) + 0.5 * (q @ q)
-    spec = fock.eigh(H.assert_hermitian())
+    spec = fock.eigh(assert_hermitian(H))
     np.testing.assert_allclose(spec.energies[:5], np.arange(5) + 0.5, atol=1e-10)
     # eigenvectors unit norm with the gauge pivot real positive
     norms = np.linalg.norm(spec.states, axis=0)
@@ -164,8 +203,7 @@ def test_eigh_residual():
     rng = np.random.default_rng(7)
     m = rng.normal(size=(60, 60)) + 1j * rng.normal(size=(60, 60))
     m = m + m.conj().T
-    op = fock.OperatorMatrix(m, hermitian=True)
-    spec = fock.eigh(op)
+    spec = fock.eigh(m)
     resid = np.abs(m @ spec.states - spec.states * spec.energies).max()
     assert resid <= 1e-10 * np.abs(spec.energies).max()
 
@@ -174,9 +212,8 @@ def test_eigh_gauge_deterministic():
     rng = np.random.default_rng(3)
     m = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
     m = m + m.conj().T
-    op = fock.OperatorMatrix(m, hermitian=True)
-    s1 = fock.eigh(op)
-    s2 = fock.eigh(op)
+    s1 = fock.eigh(m)
+    s2 = fock.eigh(m)
     assert np.array_equal(s1.states, s2.states)
     assert np.array_equal(s1.energies, s2.energies)
 
@@ -186,15 +223,14 @@ def test_generalized_oscillator_frequency():
     X, Y, Z = 2.0, 0.5, 1.0
     w = np.sqrt(X * Z - Y * Y)
     fb = fock.basis(1, 80, w)
-    q, p = fock.position_momentum(fb)
-    H = 0.5 * Z * (p @ p) + 0.5 * X * (q @ q) + fock.weyl_product(q, p) * Y
-    spec = fock.eigh(H.assert_hermitian())
+    q, p = map(dense, fock.position_momentum(fb))
+    H = 0.5 * Z * (p @ p) + 0.5 * X * (q @ q) + weyl_product(q, p) * Y
+    spec = fock.eigh(assert_hermitian(H))
     np.testing.assert_allclose(spec.energies[:6], w * (np.arange(6) + 0.5), atol=1e-8)
 
 
 def test_degeneracy_guard():
-    op = fock.OperatorMatrix(np.diag([0.0, 1.0, 1.0 + 1e-12, 3.0]), hermitian=True)
-    spec = fock.eigh(op)
+    spec = fock.eigh(np.diag([0.0, 1.0, 1.0 + 1e-12, 3.0]))
     spec.check_nondegenerate(0)
     with pytest.raises(fock.DegeneracyError):
         spec.check_nondegenerate(1)
@@ -204,8 +240,8 @@ def test_truncation_convergence_report():
     fb = fock.basis(1, 12, 1.0)
 
     def ground_energy(basis):
-        q, p = fock.position_momentum(basis)
-        H = (0.5 * (p @ p) + 0.5 * 4.0 * (q @ q)).assert_hermitian()
+        quads = fock.quadratics(basis)
+        H = 0.5 * quads.pp[(0, 0)] + 0.5 * 4.0 * quads.qq[(0, 0)]
         return fock.eigh(H).energies[0]
 
     report = fock.truncation_convergence(ground_energy, fb, tol=1e-8)
@@ -218,6 +254,32 @@ def test_truncation_convergence_report():
 
 
 def test_flagged_gaps():
-    op = fock.OperatorMatrix(np.diag([0.0, 1.0, 1.0 + 1e-12, 3.0]), hermitian=True)
-    spec = fock.eigh(op)
-    np.testing.assert_array_equal(spec.flagged_gaps(), [False, True, False])
+    spec = fock.eigh(np.diag([0.0, 1.0, 1.0 + 1e-12, 3.0]))
+    np.testing.assert_array_equal(flagged_gaps(spec), [False, True, False])
+
+
+@pytest.mark.parametrize("name,values", [
+    ("sym-coupled", (1.0, 0.8)),      # real symmetric, exchange-antisymmetric levels
+    ("lin-coupled", (1.0, 2.0, 1.0)),
+    ("gho", (2.0, 0.5, 1.0)),         # complex Hermitian
+])
+def test_eigh_lowest_window_matches_full(name, values):
+    model = get_model(name)
+    point = model.point(*values)
+    H = model.hamiltonian(point, model.default_basis(point, 14 if model.dof == 2 else 60))
+    full = fock.eigh(H)
+    window = fock.eigh(H, lowest=12)
+    assert window.dim == 12
+    np.testing.assert_allclose(window.energies, full.energies[:12], atol=1e-10)
+    overlaps = np.abs(np.sum(window.states.conj() * full.states[:, :12], axis=0))
+    np.testing.assert_allclose(overlaps, 1.0, atol=1e-10)
+
+
+def test_eigh_lowest_falls_back_to_full_solve():
+    m = np.diag([3.0, 1.0, 2.0, 0.5])
+    for k in (3, 4, 10):
+        spec = fock.eigh(m, lowest=k)
+        np.testing.assert_array_equal(spec.energies, [0.5, 1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        fock.eigh(m, lowest=0)
+    assert fock.eigh(m, lowest=2).dim == 2

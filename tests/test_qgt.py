@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dense_reference import dense
 from qgeom import gauss, qgt
 from qgeom.errors import DegeneracyError, StateTrackingError
 from qgeom.fock import eigh
@@ -320,7 +321,7 @@ def test_sym_deformation_operator_identity():
     (q1, q2), _ = model.qp_operators(fb)
     w1, w2 = model.normal_modes(point).frequencies
     expected = 0.5 * (w2 * w2 - w1 * w1) * (q1 - q2) + w1 * w1 * q1
-    np.testing.assert_allclose(ops["q1"].entries, expected.entries, atol=1e-12)
+    np.testing.assert_allclose(dense(ops["q1"]), dense(expected), atol=1e-12)
 
 
 def test_lin_entropy_grows_toward_transition():
@@ -346,3 +347,57 @@ def test_overlap_track_matches_energy_order_single_mode():
         model, point, qgt.StateSelector((2,), resolution="overlap-track"), fb)
     assert by_energy.index == by_overlap.index
     assert by_overlap.overlap > 0.999
+
+
+def _seeded_point(model, seed):
+    # draws from the benchmark's sampling ranges
+    rng = np.random.default_rng(seed)
+    if model.name == "sym-coupled":
+        return model.point(rng.uniform(0.6, 2.2), rng.uniform(0.3, 2.2))
+    if model.name == "lin-coupled":
+        A, B = rng.uniform(0.7, 1.3), rng.uniform(1.8, 3.0)
+        return model.point(A, B, rng.uniform(0.2, 0.6) * 2 * math.sqrt(A * B))
+    X, Z = rng.uniform(0.8, 2.5), rng.uniform(0.8, 2.5)
+    Y = rng.uniform(-0.6, 0.6) * math.sqrt(X * Z)
+    if model.name == "gho":
+        return model.point(X, Y, Z)
+    return model.point(rng.uniform(0.3, 1.5), X, Y, Z)  # gho-linear, W != 0
+
+
+def _assert_window_matches_full(model, point, sel, fb, full):
+    windowed = qgt.select_state(model, point, sel, fb)
+    reference = qgt.select_state(model, point, sel, fb, spectrum=full)
+    assert windowed.index == reference.index
+    assert abs(windowed.energy - reference.energy) <= 1e-10
+    assert abs(np.vdot(windowed.vector, reference.vector)) >= 1 - 1e-10
+    np.testing.assert_allclose(
+        qgt.covariance_from_state(model, point, sel, fb).entries,
+        qgt.covariance_from_state(model, point, sel, fb, spectrum=full).entries,
+        atol=1e-10)
+    return windowed
+
+
+@pytest.mark.parametrize("name", ["sym-coupled", "lin-coupled"])
+def test_window_solve_matches_full_two_modes(name):
+    # select_state without a spectrum solves only the lowest levels (ARPACK)
+    model = get_model(name)
+    point = _seeded_point(model, 5)
+    fb = model.default_basis(point, 40)
+    full = eigh(model.hamiltonian(point, fb))
+    for qn in [(m, n) for m in range(3) for n in range(3)]:
+        state = _assert_window_matches_full(model, point, qgt.StateSelector(qn), fb, full)
+        if name == "sym-coupled":
+            # odd n is odd under q1 <-> q2: a symmetric start vector misses it
+            psi = state.vector.reshape(fb.cutoff, fb.cutoff)
+            parity = np.vdot(psi.T.ravel(), psi.ravel()).real
+            assert parity == pytest.approx((-1) ** qn[1], abs=1e-10)
+
+
+@pytest.mark.parametrize("name", ["gho", "gho-linear"])
+def test_window_solve_matches_full_energy_order(name):
+    model = get_model(name)
+    point = _seeded_point(model, 5)
+    fb = model.default_basis(point, 80)
+    full = eigh(model.hamiltonian(point, fb))
+    for n in range(3):
+        _assert_window_matches_full(model, point, qgt.selector(n), fb, full)
