@@ -64,9 +64,10 @@ C1_STATES = {
     2: [(m, n) for m in range(3) for n in range(3)],
 }
 
-PARAM_PAIR_TOL = 1e-5
-PHASE_PAIR_TOL = 1e-8
-CLOSED_TOL = 1e-6
+PARAM_PAIR_TOL = qgt.DEFAULT_TOLERANCES["param:perturbative-vs-overlap-fd"]
+PHASE_PAIR_TOL = qgt.DEFAULT_TOLERANCES["phase:perturbative-vs-covariance"]
+CLOSED_TOL = min(tol for name, tol in qgt.DEFAULT_TOLERANCES.items()
+                 if name.endswith("vs-closed"))
 C1_RUNTIME_LIMIT = 120.0
 
 

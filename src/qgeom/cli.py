@@ -48,7 +48,7 @@ class UsageError(Exception):
 class JobConfig:
     model: str = ""
     point: tuple[float, ...] = ()
-    quantum_numbers: tuple[int, ...] = (0,)
+    quantum_numbers: tuple[int, ...] | None = None  # None -> the model's ground state
     methods: tuple[str, ...] = ("perturbative",)
     cutoff: int = 0  # 0 -> per-model default
     out: str = "-"
@@ -215,9 +215,16 @@ def resolve_model(cfg: JobConfig):
 
 
 def model_cutoff(cfg: JobConfig, model) -> int:
-    if cfg.cutoff:
-        return cfg.cutoff
-    return 80 if model.dof == 1 else 40
+    return cfg.cutoff or acceptance.AcceptanceConfig().cutoff(model)
+
+
+def quantum_numbers(cfg: JobConfig, model) -> tuple[int, ...]:
+    """--n, or the model's ground state when it is omitted."""
+    try:
+        return model._check_qn((0,) * model.dof if cfg.quantum_numbers is None
+                               else cfg.quantum_numbers)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +306,7 @@ def cmd_eval(cfg: JobConfig) -> int:
     point = model.point(*cfg.point)
     cutoff = model_cutoff(cfg, model)
     fb = model.default_basis(point, cutoff)
-    sel = qgt.StateSelector(cfg.quantum_numbers)
+    sel = qgt.StateSelector(quantum_numbers(cfg, model))
     meta = {"command": "eval", "model": model.name, "point": list(point.values),
             "n": list(sel.quantum_numbers), "cutoff": cutoff,
             "methods": list(cfg.methods), "tolerance": cfg.tolerance,
@@ -335,7 +342,7 @@ def cmd_eval(cfg: JobConfig) -> int:
             row.update(_matrix_columns("G", res.labels, res.values))
             row.update(_matrix_columns("sigma", res.labels, cov.entries))
         elif method == "closed-form":
-            qn = model._check_qn(sel.quantum_numbers)
+            qn = sel.quantum_numbers
             blocks = {}
             if "qgt" in model._closed:
                 blocks["G"] = (model.param_names,
@@ -388,10 +395,9 @@ def _grid_points(cfg: JobConfig, model):
         yield values
 
 
-def _sweep_one(model, values: dict, cfg: JobConfig):
+def _sweep_one(model, values: dict, qn: tuple[int, ...], cfg: JobConfig):
     point = model.point(**values)
     row: dict = {f"point[{name}]": value for name, value in zip(point.names, point.values)}
-    qn = model._check_qn(cfg.quantum_numbers)
     quantities = cfg.quantities or ("det_metric", "scalar", "purity", "entropy", "nu")
     cutoff = model_cutoff(cfg, model)
     need_state = any(q in ("purity", "entropy", "nu") for q in quantities) \
@@ -429,15 +435,16 @@ def _sweep_one(model, values: dict, cfg: JobConfig):
 
 def cmd_sweep(cfg: JobConfig) -> int:
     model = resolve_model(cfg)
+    qn = quantum_numbers(cfg, model)
     meta = {"command": "sweep", "model": model.name,
             "axes": [list(a) for a in cfg.axes], "fixed": cfg.fixed,
-            "n": list(cfg.quantum_numbers), "quantities": list(cfg.quantities),
+            "n": list(qn), "quantities": list(cfg.quantities),
             "tolerance": cfg.tolerance,
             "version": __version__}
     writer = Writer(cfg, meta)
     for values in _grid_points(cfg, model):
         try:
-            row = _sweep_one(model, values, cfg)
+            row = _sweep_one(model, values, qn, cfg)
         except (DomainError, NumericalError, ValueError) as exc:
             row = {f"point[{name}]": values[name] for name in model.param_names}
             row["error"] = f"{type(exc).__name__}: {exc}"
@@ -462,7 +469,7 @@ def cmd_check(cfg: JobConfig) -> int:
 def cmd_curvature(cfg: JobConfig) -> int:
     model = resolve_model(cfg)
     point = model.point(*cfg.point)
-    qn = model._check_qn(cfg.quantum_numbers)
+    qn = quantum_numbers(cfg, model)
     which = cfg.which
     mapping = {
         "param": ("metric", None),
@@ -507,7 +514,7 @@ def cmd_entangle(cfg: JobConfig) -> int:
     if model.dof != 2:
         raise UsageError("entangle needs a two-mode model (sym-coupled, lin-coupled)")
     point = model.point(*cfg.point)
-    qn = model._check_qn(cfg.quantum_numbers)
+    qn = quantum_numbers(cfg, model)
     cutoff = model_cutoff(cfg, model)
     fb = model.default_basis(point, cutoff)
     cov = qgt.covariance_from_state(model, point, qgt.StateSelector(qn), fb)
@@ -535,7 +542,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="INI config file; flags override it")
     p.add_argument("--model", choices=list(MODEL_NAMES))
     p.add_argument("--point", help="comma-separated parameter values")
-    p.add_argument("--n", help="quantum numbers, comma-separated (one per mode)")
+    p.add_argument("--n", help="quantum numbers, comma-separated, one per mode "
+                               "(default: the ground state)")
     p.add_argument("--cutoff", type=int, help="Fock cutoff per mode")
     p.add_argument("--method", help="perturbative,overlap-fd,covariance,closed-form|all")
     p.add_argument("--out", help="output path ('-' for stdout)")

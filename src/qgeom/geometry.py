@@ -20,12 +20,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalError
+from .gauss import SYMMETRY_ATOL
 from .models.base import Model, ParamPoint
 
 STEP_REL = 1e-3
 COND_LIMIT = 1e12
 FLATNESS_RTOL = 1e-6
-SYMMETRY_ATOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from qgeom import __version__
 from qgeom.cli import main
 
 CUT = "--cutoff"
@@ -347,3 +352,37 @@ def test_eval_covariance_solves_no_full_spectrum(monkeypatch, tmp_path):
     model = get_model("sym-coupled")
     closed = model.closed_form("covariance", model.point(1.0, 0.8), (1, 2))
     assert float(rows[0]["sigma_re[q1|q1]"]) == pytest.approx(closed[0, 0], abs=1e-8)
+
+
+def test_default_n_is_the_models_ground_state(tmp_path):
+    ent = ["entangle", "--model", "sym-coupled", "--point", "1,0.5", CUT, "20",
+           "--no-header-timestamp"]
+    omitted, explicit = tmp_path / "omitted.csv", tmp_path / "explicit.csv"
+    assert main(ent + ["--out", str(omitted)]) == 0
+    assert main(ent + ["--n", "0,0", "--out", str(explicit)]) == 0
+    assert omitted.read_bytes() == explicit.read_bytes()
+    sweep = ["sweep", "--model", "sym-coupled", "--axis", "k1=0.2:1:3", "--fix", "k0=1",
+             "--quantities", "purity", CUT, "20"]
+    out_file = tmp_path / "sweep.csv"
+    assert main(sweep + ["--out", str(out_file)]) == 0
+    header, rows = parse_csv(out_file.read_text())
+    assert "error" not in header and len(rows) == 3
+
+
+def test_sweep_wrong_n_length_exit_2(capsys, tmp_path):
+    out_file = tmp_path / "sweep.csv"
+    assert main(["sweep", "--model", "sym-coupled", "--axis", "k1=0.2:1:3",
+                 "--fix", "k0=1", "--quantities", "purity", "--n", "0", CUT, "20",
+                 "--out", str(out_file)]) == 2
+    assert "needs 2 quantum numbers" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "qgeom", "--version"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.strip() == __version__

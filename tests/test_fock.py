@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from dense_reference import (assert_hermitian, commutator, dagger, dense,
                              expectation, flagged_gaps, position_momentum,
                              weyl_product)
 from qgeom import fock
-from qgeom.errors import ConvergenceError
+from qgeom.errors import ConvergenceError, NumericalError
 from qgeom.models import get_model
 
 
@@ -258,21 +259,38 @@ def test_flagged_gaps():
     np.testing.assert_array_equal(flagged_gaps(spec), [False, True, False])
 
 
+def _window_input(name, values):
+    """A model Hamiltonian, or one of the raw-matrix edge cases."""
+    if name == "random-complex":  # levels of both signs; dense or scipy.sparse
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60))
+        h = 0.5 * (a + a.conj().T)
+        return scipy.sparse.csr_array(h) if values == "sparse" else h
+    if name == "diagonal":  # the Gershgorin bound is the lowest level itself
+        return np.diag(np.random.default_rng(7).permutation(40) - 5.0)
+    model = get_model(name)
+    point = model.point(*values)
+    return model.hamiltonian(point, model.default_basis(point, 14 if model.dof == 2 else 60))
+
+
 @pytest.mark.parametrize("name,values", [
     ("sym-coupled", (1.0, 0.8)),      # real symmetric, exchange-antisymmetric levels
     ("lin-coupled", (1.0, 2.0, 1.0)),
     ("gho", (2.0, 0.5, 1.0)),         # complex Hermitian
+    ("random-complex", "dense"),
+    ("random-complex", "sparse"),
+    ("diagonal", None),
 ])
 def test_eigh_lowest_window_matches_full(name, values):
-    model = get_model(name)
-    point = model.point(*values)
-    H = model.hamiltonian(point, model.default_basis(point, 14 if model.dof == 2 else 60))
+    H = _window_input(name, values)
     full = fock.eigh(H)
     window = fock.eigh(H, lowest=12)
     assert window.dim == 12
     np.testing.assert_allclose(window.energies, full.energies[:12], atol=1e-10)
     overlaps = np.abs(np.sum(window.states.conj() * full.states[:, :12], axis=0))
     np.testing.assert_allclose(overlaps, 1.0, atol=1e-10)
+    if name == "random-complex":
+        assert full.energies[0] < 0 < full.energies[-1]
 
 
 def test_eigh_lowest_falls_back_to_full_solve():
@@ -282,4 +300,15 @@ def test_eigh_lowest_falls_back_to_full_solve():
         np.testing.assert_array_equal(spec.energies, [0.5, 1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         fock.eigh(m, lowest=0)
-    assert fock.eigh(m, lowest=2).dim == 2
+    np.testing.assert_allclose(fock.eigh(m, lowest=2).energies, [0.5, 1.0], atol=1e-10)
+
+
+def test_eigh_lowest_failures_raise_numerical_error(monkeypatch):
+    m = np.diag(np.arange(10.0))
+    # a shift above the lowest level leaves H - sigma indefinite
+    monkeypatch.setattr(fock, "SHIFT_MARGIN", -0.2)
+    with pytest.raises(NumericalError, match="banded Cholesky"):
+        fock.eigh(m, lowest=3)
+    monkeypatch.undo()
+    with pytest.raises(NumericalError, match="ARPACK"):
+        fock.eigh(np.diag([np.nan] + [1.0] * 9), lowest=3)
