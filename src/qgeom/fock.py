@@ -331,6 +331,22 @@ class Spectrum:
     def vector(self, k: int) -> np.ndarray:
         return self.states[:, k]
 
+    def overlaps(self, vecs: np.ndarray, upto: int | None = None) -> np.ndarray:
+        """<k|v> for the first `upto` levels k (all by default), for a vector v
+        or for each column v of a matrix.
+
+        One BLAS pass over `states`, which is neither copied nor recast:
+        complex states are conjugated through the small operand, and real
+        states meet the real and imaginary parts of complex vectors apart.
+        """
+        states = self.states if upto is None else self.states[:, :upto]
+        if np.iscomplexobj(states):
+            return (vecs.conj().T @ states).conj().T
+        if np.iscomplexobj(vecs):
+            return (states.T @ np.ascontiguousarray(vecs.real)
+                    + 1j * (states.T @ np.ascontiguousarray(vecs.imag)))
+        return states.T @ vecs
+
     def gap_scale(self) -> float:
         return float(np.abs(self.energies).max() or 1.0)
 
@@ -350,17 +366,21 @@ class Spectrum:
             )
 
 
-def gauge_fix(states: np.ndarray) -> np.ndarray:
-    """Rotate each column's phase so its largest-|.| entry is real positive.
-
-    Ties in |.| resolve to the first index (argmax), keeping repeated runs
-    bitwise identical.
-    """
+def _gauge_phases(states: np.ndarray) -> np.ndarray:
     idx = np.argmax(np.abs(states), axis=0)
     pivots = states[idx, np.arange(states.shape[1])]
     mags = np.abs(pivots)
     mags[mags == 0] = 1.0
-    return states * (np.conj(pivots) / mags)
+    return np.conj(pivots) / mags
+
+
+def gauge_fix(states: np.ndarray) -> np.ndarray:
+    """Rotate each column's phase so its largest-|.| entry is real positive.
+
+    Returns a new array. Ties in |.| resolve to the first index (argmax),
+    keeping repeated runs bitwise identical.
+    """
+    return states * _gauge_phases(states)
 
 
 def _hermitian_entries(op) -> tuple[Pattern, np.ndarray]:
@@ -373,6 +393,11 @@ def _hermitian_entries(op) -> tuple[Pattern, np.ndarray]:
             raise ValueError("eigh needs a square matrix")
         pattern = Pattern.of(*np.nonzero(m), m.shape[0])
         data = m[pattern.rows, pattern.cols]
+    if not np.isfinite(data).all():
+        raise NumericalError(
+            f"eigh needs finite matrix entries; found "
+            f"{np.count_nonzero(~np.isfinite(data))} NaN or inf"
+        )
     adjoint = np.conj(data[pattern.transpose])
     scale = np.abs(data).max() or 1.0
     defect = np.abs(data - adjoint).max()
@@ -430,7 +455,8 @@ def eigh(op, lowest: int | None = None) -> Spectrum:
     """Gauge-fixed Hermitian eigendecomposition, ascending.
 
     op is an Operator or a square matrix (dense or scipy.sparse); either must
-    be Hermitian to HERMITICITY_RTOL. By default every level comes from dense
+    be Hermitian to HERMITICITY_RTOL, and a NaN or inf entry raises
+    NumericalError before any solve. By default every level comes from dense
     LAPACK (evd driver). lowest=k asks for the k lowest levels only, from
     shift-invert Lanczos (ARPACK, fixed start vector) on a banded Cholesky
     factor of H - sigma, sigma below the Gershgorin bound; the band takes
@@ -444,10 +470,13 @@ def eigh(op, lowest: int | None = None) -> Spectrum:
     if lowest is not None and lowest < pattern.dim - 1:
         energies, states = _lowest_levels(pattern, data, lowest)
     else:
-        dense = np.zeros((pattern.dim, pattern.dim), dtype=data.dtype)
+        # Fortran order lets LAPACK overwrite the matrix with the eigenvectors
+        dense = np.zeros((pattern.dim, pattern.dim), dtype=data.dtype, order="F")
         dense[pattern.rows, pattern.cols] = data
-        energies, states = scipy.linalg.eigh(dense, driver="evd")
-    return Spectrum(energies, gauge_fix(states))
+        energies, states = scipy.linalg.eigh(dense, driver="evd", overwrite_a=True,
+                                             check_finite=False)
+    states *= _gauge_phases(states)  # the solver's own array: no copy
+    return Spectrum(energies, states)
 
 
 @dataclass(frozen=True)

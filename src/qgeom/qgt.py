@@ -112,7 +112,7 @@ def select_state(model: Model, point: ParamPoint, sel: StateSelector,
     if norm == 0:
         raise StateTrackingError("normal-mode target state vanished (cutoff too small)")
     target /= norm
-    overlaps = np.abs(spec.states.conj().T @ target)
+    overlaps = np.abs(spec.overlaps(target))
     idx = int(np.argmax(overlaps))
     if overlaps[idx] < sel.min_overlap:
         raise StateTrackingError(
@@ -192,15 +192,12 @@ def qgt_perturbative(model: Model, point: ParamPoint, sel: StateSelector,
     spec.check_nondegenerate(state.index, upto=keep)
     ops = model.deformations(point, fb)
     labels = model.labels
-    vecs = spec.states[:, :keep]
-    amps = [vecs.conj().T @ ops[name].apply(state.vector) for name in labels]
-    denom = (spec.energies[:keep] - state.energy) ** 2
-    denom[state.index] = np.inf
-    inv = 1.0 / denom
-    g = np.empty((len(labels), len(labels)), dtype=complex)
-    for i, ti in enumerate(amps):
-        for j, tj in enumerate(amps):
-            g[i, j] = np.sum(np.conj(ti) * tj * inv)
+    images = np.column_stack([ops[name].apply(state.vector) for name in labels])
+    amps = spec.overlaps(images, upto=keep)  # <m|O_A|n>, one row per level m
+    gaps = np.abs(spec.energies[:keep] - state.energy)
+    gaps[state.index] = np.inf
+    weighted = amps / gaps[:, None]
+    g = weighted.conj().T @ weighted  # W^dag W, W_mA = <m|O_A|n>/|E_m - E_n|
     return QGTResult(labels, g, tuple(sel.quantum_numbers), "perturbative")
 
 
@@ -217,7 +214,7 @@ def _fd_steps(point: ParamPoint, step) -> np.ndarray:
 def _tracked_vector(spec: Spectrum, ref: np.ndarray, min_overlap: float,
                     rng: np.random.Generator | None) -> np.ndarray:
     """Find the displaced twin of `ref` and align its phase to it."""
-    overlaps = spec.states.conj().T @ ref
+    overlaps = spec.overlaps(ref)
     idx = int(np.argmax(np.abs(overlaps)))
     mag = abs(overlaps[idx])
     if mag < min_overlap:

@@ -74,3 +74,19 @@ def expectation(m: np.ndarray, state: np.ndarray) -> complex:
 def flagged_gaps(spec, rtol: float = DEGENERACY_RTOL) -> np.ndarray:
     """Boolean mask over adjacent gaps |E_{k+1} - E_k| < rtol * max|E|."""
     return np.diff(spec.energies) < rtol * spec.gap_scale()
+
+
+def spectral_sum(spec, n: int, images: dict, keep: int) -> np.ndarray:
+    """The perturbative QGT as an explicit per-label sum over levels m < keep:
+    G_AB = sum_{m != n} <n|O_A|m><m|O_B|n> / (E_m - E_n)^2, where
+    images[A] = O_A|n> and each amplitude <m|O_A|n> is its own vdot."""
+    amps = [np.array([np.vdot(spec.states[:, m], image) for m in range(keep)])
+            for image in images.values()]
+    g = np.zeros((len(amps), len(amps)), dtype=complex)
+    for i, ti in enumerate(amps):
+        for j, tj in enumerate(amps):
+            for m in range(keep):
+                if m != n:
+                    g[i, j] += (np.conj(ti[m]) * tj[m]
+                                / (spec.energies[m] - spec.energies[n]) ** 2)
+    return g

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 from dense_reference import (assert_hermitian, commutator, dagger, dense,
                              expectation, flagged_gaps, position_momentum,
@@ -217,6 +220,11 @@ def test_eigh_gauge_deterministic():
     s2 = fock.eigh(m)
     assert np.array_equal(s1.states, s2.states)
     assert np.array_equal(s1.energies, s2.energies)
+    # eigh fixes the gauge in place; the public gauge_fix returns a copy
+    twisted = s1.states * np.exp(1j * np.arange(40))
+    fixed = fock.gauge_fix(twisted)
+    assert not np.shares_memory(fixed, twisted)
+    np.testing.assert_allclose(fixed, s1.states, atol=1e-14)
 
 
 def test_generalized_oscillator_frequency():
@@ -257,6 +265,40 @@ def test_truncation_convergence_report():
 def test_flagged_gaps():
     spec = fock.eigh(np.diag([0.0, 1.0, 1.0 + 1e-12, 3.0]))
     np.testing.assert_array_equal(flagged_gaps(spec), [False, True, False])
+
+
+@pytest.mark.parametrize("complex_states", [False, True])
+def test_spectrum_overlaps_match_dense_projection(complex_states):
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((30, 30))
+    if complex_states:
+        a = a + 1j * rng.standard_normal((30, 30))
+    spec = fock.eigh(a + a.conj().T)
+    assert np.iscomplexobj(spec.states) == complex_states
+    vec = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    mat = rng.standard_normal((30, 4)) + 1j * rng.standard_normal((30, 4))
+    for v in (vec, vec.real, mat, mat.real):
+        for upto in (None, 7):
+            expected = spec.states[:, :upto].conj().T @ v
+            got = spec.overlaps(v, upto=upto)
+            assert got.shape == expected.shape
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+
+
+def test_spectrum_overlaps_do_not_copy_states():
+    # states.conj().T @ v would first make a real and then a complex copy
+    dim = 1600
+    rng = np.random.default_rng(5)
+    spec = fock.Spectrum(np.arange(dim, dtype=float),
+                         np.asfortranarray(rng.standard_normal((dim, dim))))
+    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    tracemalloc.start()
+    try:
+        spec.overlaps(vec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dim ** 2 * 8
 
 
 def _window_input(name, values):
@@ -310,5 +352,24 @@ def test_eigh_lowest_failures_raise_numerical_error(monkeypatch):
     with pytest.raises(NumericalError, match="banded Cholesky"):
         fock.eigh(m, lowest=3)
     monkeypatch.undo()
-    with pytest.raises(NumericalError, match="ARPACK"):
+    with pytest.raises(NumericalError, match="finite matrix entries"):
         fock.eigh(np.diag([np.nan] + [1.0] * 9), lowest=3)
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    with pytest.raises(NumericalError, match="ARPACK"):
+        fock.eigh(m, lowest=3)
+
+
+@pytest.mark.parametrize("lowest", [None, 3])  # dense LAPACK and the window
+@pytest.mark.parametrize("bad,where", [
+    (np.nan, (0, 0)), (np.inf, (0, 0)), (np.nan, (2, 3)), (-np.inf, (2, 3)),
+])
+def test_eigh_rejects_non_finite_entries(lowest, bad, where):
+    m = np.diag(np.arange(10.0))
+    m[where] = m[where[::-1]] = bad
+    for op in (m, scipy.sparse.csr_array(m)):
+        with pytest.raises(NumericalError, match="finite matrix entries; found [12] NaN or inf"):
+            fock.eigh(op, lowest=lowest)

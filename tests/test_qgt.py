@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dense_reference import dense
+from dense_reference import dense, spectral_sum
 from qgeom import gauss, qgt
 from qgeom.errors import DegeneracyError, StateTrackingError
 from qgeom.fock import eigh
@@ -250,6 +250,30 @@ def test_perturbative_discard_guard():
     fb = model.default_basis(point, 10)
     with pytest.raises(ValueError, match="discarded top"):
         qgt.qgt_perturbative(model, point, qgt.selector(9), fb)
+
+
+@pytest.mark.parametrize("name,values,cutoff", [
+    ("sym-coupled", (1.0, 0.8), 14),      # real states
+    ("lin-coupled", (1.0, 2.0, 1.0), 14),
+    ("gho", (2.0, 0.5, 1.0), 40),         # complex states
+])
+def test_perturbative_matches_explicit_spectral_sum(name, values, cutoff):
+    model = get_model(name)
+    point = model.point(*values)
+    fb = model.default_basis(point, cutoff)
+    spec = eigh(model.hamiltonian(point, fb))
+    assert np.iscomplexobj(spec.states) == (name == "gho")
+    ops = model.deformations(point, fb)
+    keep = qgt._keep_count(spec.dim, qgt.DISCARD_TOP)
+    states = [(m, n) for m in range(3) for n in range(3)] if model.dof == 2 else [(0,), (1,), (2,)]
+    for qn in states:
+        sel = qgt.StateSelector(qn)
+        state = qgt.select_state(model, point, sel, fb, spectrum=spec)
+        res = qgt.qgt_perturbative(model, point, sel, fb, spectrum=spec, state=state)
+        images = {label: dense(ops[label]) @ state.vector for label in res.labels}
+        expected = spectral_sum(spec, state.index, images, keep)
+        np.testing.assert_allclose(res.values, expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max(), err_msg=str(qn))
 
 
 def test_overlap_fd_matches_linear_term_metric():
