@@ -13,6 +13,15 @@ Checks are grouped by criterion:
 
 `run_checks` executes them and reports one PASS/FAIL line each; the CLI
 `check` command and tests/test_acceptance.py both drive this module.
+
+To add a check, write a function of the AcceptanceConfig that returns one
+`(passed, detail)` pair per outcome and decorate it with
+`@check((name, criterion), ...)`, one pair per outcome in the same order.
+Registration order is run order, and CHECK_NAMES is read off the registry.
+The check itself neither times nor guards anything: `run_checks` times each
+registered function once (outcomes of one function share that timing) and
+turns an exception into FAIL outcomes under the function's declared names,
+so one broken probe cannot hide the rest.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -75,25 +85,34 @@ def _fmt(x: float) -> str:
     return f"{x:.2e}"
 
 
-def _guarded(outcomes: list, names_criteria: list[tuple[str, str]], fn) -> None:
-    """Run fn() appending its outcomes; on an exception, emit the named
-    checks as failed with the error so one broken probe cannot hide the rest."""
-    t0 = time.perf_counter()
-    try:
-        outcomes.extend(fn())
-    except Exception as exc:
-        dt = time.perf_counter() - t0
-        for name, criterion in names_criteria:
-            outcomes.append(CheckOutcome(
-                name, criterion, False, f"{type(exc).__name__}: {exc}", dt))
+# registry --------------------------------------------------------------------
+
+Result = list[tuple[bool, str]]  # one (passed, detail) per declared outcome
 
 
-def _one_model_cross_methods(config: AcceptanceConfig, name: str,
-                             points) -> list[CheckOutcome]:
+@dataclass(frozen=True)
+class Check:
+    names: tuple[tuple[str, str], ...]  # (name, criterion) of each outcome
+    run: Callable[[AcceptanceConfig, dict[str, float]], Result]
+
+
+#: every check in run order; `check` appends to it
+REGISTRY: list[Check] = []
+
+
+def check(*names: tuple[str, str]):
+    """Register fn(config) -> Result under its outcomes' (name, criterion)."""
+    def register(fn):
+        REGISTRY.append(Check(names, lambda config, seconds: fn(config)))
+        return fn
+    return register
+
+
+def _one_model_cross_methods(config: AcceptanceConfig, name: str, points) -> Result:
+    """Criteria 1 and 2 share the probe runs (and their diagonalizations)."""
     model = get_model(name)
     pair_dev = {"param": 0.0, "phase": 0.0}
     closed_dev = 0.0
-    t0 = time.perf_counter()
     for values in points:
         point = model.point(*values)
         fb = model.default_basis(point, config.cutoff(model))
@@ -110,41 +129,33 @@ def _one_model_cross_methods(config: AcceptanceConfig, name: str,
             for comp in rep.comparisons:
                 if comp.name.endswith("vs-closed"):
                     closed_dev = max(closed_dev, comp.deviation)
-    dt = time.perf_counter() - t0
     return [
-        CheckOutcome(
-            f"cross-method[{name}]", "1",
-            pair_dev["param"] <= PARAM_PAIR_TOL and pair_dev["phase"] <= PHASE_PAIR_TOL,
-            f"param dev {_fmt(pair_dev['param'])} (tol {PARAM_PAIR_TOL:.0e}), "
-            f"phase dev {_fmt(pair_dev['phase'])} (tol {PHASE_PAIR_TOL:.0e})", dt),
-        CheckOutcome(
-            f"closed-form[{name}]", "2",
-            closed_dev <= CLOSED_TOL,
-            f"max relative dev {_fmt(closed_dev)} (tol {CLOSED_TOL:.0e})", dt),
+        (pair_dev["param"] <= PARAM_PAIR_TOL and pair_dev["phase"] <= PHASE_PAIR_TOL,
+         f"param dev {_fmt(pair_dev['param'])} (tol {PARAM_PAIR_TOL:.0e}), "
+         f"phase dev {_fmt(pair_dev['phase'])} (tol {PHASE_PAIR_TOL:.0e})"),
+        (closed_dev <= CLOSED_TOL,
+         f"max relative dev {_fmt(closed_dev)} (tol {CLOSED_TOL:.0e})"),
     ]
 
 
-def _check_cross_methods(config: AcceptanceConfig) -> list[CheckOutcome]:
-    """Criteria 1 and 2 share the probe runs (and their diagonalizations)."""
-    outcomes: list[CheckOutcome] = []
-    started = time.perf_counter()
-    for name, points in C1_POINTS.items():
-        _guarded(outcomes,
-                 [(f"cross-method[{name}]", "1"), (f"closed-form[{name}]", "2")],
-                 lambda name=name, points=points:
-                     _one_model_cross_methods(config, name, points))
-    total = time.perf_counter() - started
-    outcomes.append(CheckOutcome(
-        "cross-method[runtime]", "1", total < C1_RUNTIME_LIMIT,
-        f"{total:.1f}s for all models (limit {C1_RUNTIME_LIMIT:.0f}s)", total))
-    return outcomes
+for _name, _points in C1_POINTS.items():
+    check((f"cross-method[{_name}]", "1"), (f"closed-form[{_name}]", "2"))(
+        partial(_one_model_cross_methods, name=_name, points=_points))
 
 
-def _check_curvature_constants(config: AcceptanceConfig) -> list[CheckOutcome]:
-    outcomes = []
+def _cross_method_runtime(config: AcceptanceConfig, seconds: dict[str, float]) -> Result:
+    """Gate the wall time the runner measured for the per-model runs above."""
+    total = sum(seconds[f"cross-method[{name}]"] for name in C1_POINTS)
+    return [(total < C1_RUNTIME_LIMIT,
+             f"{total:.1f}s for all models (limit {C1_RUNTIME_LIMIT:.0f}s)")]
 
+
+REGISTRY.append(Check((("cross-method[runtime]", "1"),), _cross_method_runtime))
+
+
+@check(("curvature[oscillator-submanifolds]", "3"))
+def _oscillator_submanifolds(config: AcceptanceConfig) -> Result:
     # R = -16/(n^2+n+1) on the Z-fixed submanifold
-    t0 = time.perf_counter()
     worst = 0.0
     model = get_model("gho")
     for n in (0, 1, 5, 100):
@@ -152,12 +163,12 @@ def _check_curvature_constants(config: AcceptanceConfig) -> list[CheckOutcome]:
                                   coords=("X", "Y"), fixed={"Z": 1.0})
         _, r = geometry.ricci_scalar(f, np.array([2.0, 0.5]))
         worst = max(worst, abs(r + 16.0 / (n * n + n + 1)))
-    outcomes.append(CheckOutcome(
-        "curvature[oscillator-submanifolds]", "3", worst <= 1e-4,
-        f"max |R + 16/b_n| = {_fmt(worst)} (tol 1e-4)", time.perf_counter() - t0))
+    return [(worst <= 1e-4, f"max |R + 16/b_n| = {_fmt(worst)} (tol 1e-4)")]
 
+
+@check(("curvature[gaussian-minus-4]", "3"))
+def _gaussian_minus_4(config: AcceptanceConfig) -> Result:
     # R = -4 for three Gaussian families
-    t0 = time.perf_counter()
     families = [
         default_gaussian(),
         oscillator_slice_gaussian(),
@@ -170,26 +181,25 @@ def _check_curvature_constants(config: AcceptanceConfig) -> list[CheckOutcome]:
         f = geometry.metric_field(fam, "metric", (0,))
         _, r = geometry.ricci_scalar(f, x)
         worst = max(worst, abs(r + 4.0))
-    outcomes.append(CheckOutcome(
-        "curvature[gaussian-minus-4]", "3", worst <= 1e-4,
-        f"max |R + 4| = {_fmt(worst)} over 3 (sigma, mu) choices (tol 1e-4)",
-        time.perf_counter() - t0))
+    return [(worst <= 1e-4,
+             f"max |R + 4| = {_fmt(worst)} over 3 (sigma, mu) choices (tol 1e-4)")]
 
+
+@check(("curvature[lin-coupled-minus-8]", "3"))
+def _lin_coupled_minus_8(config: AcceptanceConfig) -> Result:
     # R^(00) = -8 for the linearly coupled pair
-    t0 = time.perf_counter()
     model = get_model("lin-coupled")
     worst = 0.0
     for values in C1_POINTS["lin-coupled"]:
         f = geometry.metric_field(model, "metric", (0, 0))
         _, r = geometry.ricci_scalar(f, np.array(values))
         worst = max(worst, abs(r + 8.0))
-    outcomes.append(CheckOutcome(
-        "curvature[lin-coupled-minus-8]", "3", worst <= 1e-3,
-        f"max |R + 8| = {_fmt(worst)} at 3 points (tol 1e-3)",
-        time.perf_counter() - t0))
+    return [(worst <= 1e-3, f"max |R + 8| = {_fmt(worst)} at 3 points (tol 1e-3)")]
 
+
+@check(("curvature[linear-term-scalar]", "3"))
+def _linear_term_scalar(config: AcceptanceConfig) -> Result:
     # linear-term oscillator scalar formula at generic points ...
-    t0 = time.perf_counter()
     model = get_model("gho-linear")
     worst = 0.0
     for n, (W, X, Y) in [(0, (1.0, 1.0, 0.0)), (1, (0.5, 2.0, 0.7)),
@@ -200,13 +210,14 @@ def _check_curvature_constants(config: AcceptanceConfig) -> list[CheckOutcome]:
         _, r = geometry.ricci_scalar(f, np.array([W, X, Y]))
         closed = model.closed_form("scalar:param-z1", point, (n,))
         worst = max(worst, abs(r - closed))
-    outcomes.append(CheckOutcome(
-        "curvature[linear-term-scalar]", "3", worst <= 1e-4,
-        f"max |R_fd - R_closed| = {_fmt(worst)} at 3 points (tol 1e-4)",
-        time.perf_counter() - t0))
+    return [(worst <= 1e-4,
+             f"max |R_fd - R_closed| = {_fmt(worst)} at 3 points (tol 1e-4)")]
 
+
+@check(("curvature[linear-term-limits]", "3"))
+def _linear_term_limits(config: AcceptanceConfig) -> Result:
     # ... and its limits: R -> -4/b_n (omega -> 0) and R -> -28/b_n (W -> 0)
-    t0 = time.perf_counter()
+    model = get_model("gho-linear")
     worst = 0.0
     om = 3e-2
     for n in (0, 1, 3):
@@ -220,17 +231,14 @@ def _check_curvature_constants(config: AcceptanceConfig) -> list[CheckOutcome]:
         _, r = geometry.ricci_scalar(f, np.array([1e-6, 1.0, 0.0]),
                                      step=np.array([1e-3, 1e-3, 1e-3]))
         worst = max(worst, abs(r + 28.0 / b))
-    outcomes.append(CheckOutcome(
-        "curvature[linear-term-limits]", "3", worst <= 1e-2,
-        f"max limit deviation {_fmt(worst)} (omega->0 at {om}, W->0 at 1e-6; tol 1e-2)",
-        time.perf_counter() - t0))
-    return outcomes
+    return [(worst <= 1e-2, f"max limit deviation {_fmt(worst)} "
+             f"(omega->0 at {om}, W->0 at 1e-6; tol 1e-2)")]
 
 
-def _check_flatness(config: AcceptanceConfig) -> list[CheckOutcome]:
+@check(("flatness[sym-coupled]", "4"), ("flatness[beltrami]", "4"))
+def _flatness(config: AcceptanceConfig) -> Result:
     model = get_model("sym-coupled")
     rng = np.random.default_rng(config.seed)
-    t0 = time.perf_counter()
     worst_riem_ratio = 0.0
     worst_beltrami = 0.0
     for _ in range(5):
@@ -244,13 +252,10 @@ def _check_flatness(config: AcceptanceConfig) -> list[CheckOutcome]:
                                    float(np.abs(rep.riemann).max()) / rep.flat_threshold)
             worst_beltrami = max(worst_beltrami,
                                  geometry.beltrami_residual(model, point, qn))
-    dt = time.perf_counter() - t0
     return [
-        CheckOutcome("flatness[sym-coupled]", "4", worst_riem_ratio <= 1.0,
-                     f"max |Riemann|/threshold = {worst_riem_ratio:.3f} "
-                     "at 5 random points, (m,n) in {(0,0),(1,2)}", dt),
-        CheckOutcome("flatness[beltrami]", "4", worst_beltrami <= 1e-6,
-                     f"max |J^T J - g| = {_fmt(worst_beltrami)} (tol 1e-6)", dt),
+        (worst_riem_ratio <= 1.0, f"max |Riemann|/threshold = {worst_riem_ratio:.3f} "
+         "at 5 random points, (m,n) in {(0,0),(1,2)}"),
+        (worst_beltrami <= 1e-6, f"max |J^T J - g| = {_fmt(worst_beltrami)} (tol 1e-6)"),
     ]
 
 
@@ -262,8 +267,7 @@ def _ground_state_measures(model, point, cutoff):
             float(gauss.symplectic_eigenvalues(red)[0]))
 
 
-def _entanglement_vs_closed(config, name, points, label):
-    t0 = time.perf_counter()
+def _entanglement_vs_closed(config: AcceptanceConfig, name: str, points) -> Result:
     model = get_model(name)
     worst = 0.0
     for values in points:
@@ -272,34 +276,29 @@ def _entanglement_vs_closed(config, name, points, label):
         worst = max(worst,
                     abs(mu - model.closed_form("purity", point, (0, 0))),
                     abs(s - model.closed_form("entropy", point, (0, 0))))
-    return [CheckOutcome(
-        label, "5", worst <= 1e-6,
-        f"max |numeric - closed| = {_fmt(worst)} for purity/entropy "
-        "(tol 1e-6)", time.perf_counter() - t0)]
+    return [(worst <= 1e-6, f"max |numeric - closed| = {_fmt(worst)} for purity/entropy "
+             "(tol 1e-6)")]
 
 
-def _check_entanglement(config: AcceptanceConfig) -> list[CheckOutcome]:
-    outcomes: list[CheckOutcome] = []
-    _guarded(outcomes, [("entanglement[sym-coupled]", "5")],
-             lambda: _entanglement_vs_closed(
-                 config, "sym-coupled", [(1.0, 1.0), (2.0, 3.0)],
-                 "entanglement[sym-coupled]"))
-    _guarded(outcomes, [("entanglement[lin-coupled-printed-eqs]", "5")],
-             lambda: _entanglement_vs_closed(
-                 config, "lin-coupled", [(1.0, 2.0, 1.0), (0.8, 1.9, 0.7)],
-                 "entanglement[lin-coupled-printed-eqs]"))
+check(("entanglement[sym-coupled]", "5"))(partial(
+    _entanglement_vs_closed, name="sym-coupled", points=[(1.0, 1.0), (2.0, 3.0)]))
+check(("entanglement[lin-coupled-printed-eqs]", "5"))(partial(
+    _entanglement_vs_closed, name="lin-coupled",
+    points=[(1.0, 2.0, 1.0), (0.8, 1.9, 0.7)]))
 
-    t0 = time.perf_counter()
+
+@check(("entanglement[vacuum-nu]", "5"))
+def _vacuum_nu(config: AcceptanceConfig) -> Result:
     gho = get_model("gho")
     point = gho.point(1.0, 0.0, 1.0)
     fb = gho.default_basis(point, 40)
     cov = qgt.covariance_from_state(gho, point, qgt.selector(0), fb)
     nu = float(gauss.symplectic_eigenvalues(cov)[0])
-    outcomes.append(CheckOutcome(
-        "entanglement[vacuum-nu]", "5", abs(nu - 0.5) <= 1e-10,
-        f"|nu - 1/2| = {_fmt(abs(nu - 0.5))} (tol 1e-10)", time.perf_counter() - t0))
+    return [(abs(nu - 0.5) <= 1e-10, f"|nu - 1/2| = {_fmt(abs(nu - 0.5))} (tol 1e-10)")]
 
-    t0 = time.perf_counter()
+
+@check(("entanglement[monotonic-trends]", "5"))
+def _monotonic_trends(config: AcceptanceConfig) -> Result:
     model = get_model("sym-coupled")
     k1_grid = np.linspace(0.0, 5.0, 11)
     mus, ents = [], []
@@ -309,18 +308,14 @@ def _check_entanglement(config: AcceptanceConfig) -> list[CheckOutcome]:
         ents.append(model.closed_form("entropy", point, (0, 0)))
     mono = (all(b < a for a, b in zip(mus, mus[1:]))
             and all(b > a for a, b in zip(ents, ents[1:])))
-    outcomes.append(CheckOutcome(
-        "entanglement[monotonic-trends]", "5", mono,
-        f"purity {mus[0]:.3f}->{mus[-1]:.3f} decreasing, "
-        f"entropy {ents[0]:.3f}->{ents[-1]:.3f} increasing over k1 in [0, 5]",
-        time.perf_counter() - t0))
-    return outcomes
+    return [(mono, f"purity {mus[0]:.3f}->{mus[-1]:.3f} decreasing, "
+             f"entropy {ents[0]:.3f}->{ents[-1]:.3f} increasing over k1 in [0, 5]")]
 
 
-def _check_palumbo(config: AcceptanceConfig) -> list[CheckOutcome]:
+@check(("palumbo[berry-vs-det]", "6"))
+def _palumbo(config: AcceptanceConfig) -> Result:
     model = get_model("gho")
     rng = np.random.default_rng(config.seed + 1)
-    t0 = time.perf_counter()
     worst = 0.0
     for _ in range(5):
         X = rng.uniform(0.5, 3.0)
@@ -328,16 +323,12 @@ def _check_palumbo(config: AcceptanceConfig) -> list[CheckOutcome]:
         Y = rng.uniform(0.1, 0.9) * math.sqrt(X * Z)
         point = model.point(X, Y, Z)
         worst = max(worst, model.palumbo_residual(point))
-    return [CheckOutcome(
-        "palumbo[berry-vs-det]", "6", worst <= 1e-10,
-        f"max relative residual {_fmt(worst)} at 5 random points (tol 1e-10)",
-        time.perf_counter() - t0)]
+    return [(worst <= 1e-10,
+             f"max relative residual {_fmt(worst)} at 5 random points (tol 1e-10)")]
 
 
-def _check_divergence(config: AcceptanceConfig) -> list[CheckOutcome]:
-    outcomes = []
-
-    t0 = time.perf_counter()
+@check(("divergence[metric-determinants]", "7"))
+def _metric_determinants(config: AcceptanceConfig) -> Result:
     model = get_model("gho-linear")
     dets = [model.closed_form("metric_det", model.point(1.0, om * om, 0.0, 1.0), (0,))
             for om in (1.0, 1e-2)]
@@ -355,13 +346,14 @@ def _check_divergence(config: AcceptanceConfig) -> list[CheckOutcome]:
     dets = [lin.closed_form("metric_det", lin_point(w1, 2.0, math.pi / 8), (0, 0))
             for w1 in (1.0, 1e-2)]
     ratio2 = dets[1] / dets[0]
-    outcomes.append(CheckOutcome(
-        "divergence[metric-determinants]", "7",
-        ratio1 >= 1e3 and ratio2 >= 1e3,
-        f"det growth {ratio1:.2e} (linear-term), {ratio2:.2e} (lin-coupled) "
-        "as the frequency drops 1 -> 1e-2 (need >= 1e3)", time.perf_counter() - t0))
+    return [(ratio1 >= 1e3 and ratio2 >= 1e3,
+             f"det growth {ratio1:.2e} (linear-term), {ratio2:.2e} (lin-coupled) "
+             "as the frequency drops 1 -> 1e-2 (need >= 1e3)")]
 
-    t0 = time.perf_counter()
+
+@check(("divergence[reduced-phase-curvature]", "7"))
+def _reduced_phase_curvature(config: AcceptanceConfig) -> Result:
+    lin = get_model("lin-coupled")
     A, B = 1.0, 2.0
     cmax = 2 * math.sqrt(A * B)
     rs = []
@@ -372,16 +364,12 @@ def _check_divergence(config: AcceptanceConfig) -> list[CheckOutcome]:
         steps = np.array([1e-4 * B, min(1e-4 * C, 0.05 * (cmax - C))])
         _, r = geometry.ricci_scalar(f, np.array([B, C]), step=steps)
         rs.append(r)
-    outcomes.append(CheckOutcome(
-        "divergence[reduced-phase-curvature]", "7",
-        rs[-1] < -1e3 and rs[-1] < rs[0] < 0,
-        f"R = {rs[0]:.1f} -> {rs[1]:.1f} as C^2 -> 4AB (need < -1e3)",
-        time.perf_counter() - t0))
-    return outcomes
+    return [(rs[-1] < -1e3 and rs[-1] < rs[0] < 0,
+             f"R = {rs[0]:.1f} -> {rs[1]:.1f} as C^2 -> 4AB (need < -1e3)")]
 
 
-def _prop_hermiticity(config):
-    t0 = time.perf_counter()
+@check(("properties[hermiticity]", "8"))
+def _prop_hermiticity(config: AcceptanceConfig) -> Result:
     worst = 0.0
     for name, values in [("gho", (2.0, 0.5, 1.0)), ("gho-linear", (1.0, 1.0, 0.0, 1.0)),
                          ("sym-coupled", (1.0, 0.8)), ("lin-coupled", (1.0, 2.0, 1.0))]:
@@ -392,13 +380,11 @@ def _prop_hermiticity(config):
         qn = (0,) * model.dof
         res = qgt.qgt_perturbative(model, point, qgt.StateSelector(qn), fb)
         worst = max(worst, res.hermiticity_defect())
-    return [CheckOutcome(
-        "properties[hermiticity]", "8", worst <= 1e-10,
-        f"max Hermiticity defect {_fmt(worst)} (tol 1e-10)", time.perf_counter() - t0)]
+    return [(worst <= 1e-10, f"max Hermiticity defect {_fmt(worst)} (tol 1e-10)")]
 
 
-def _prop_gauge(config):
-    t0 = time.perf_counter()
+@check(("properties[gauge-invariance]", "8"))
+def _prop_gauge(config: AcceptanceConfig) -> Result:
     model = get_model("gho")
     point = model.point(2.0, 0.5, 1.0)
     fb = model.default_basis(point, config.cutoff_1mode)
@@ -408,14 +394,13 @@ def _prop_gauge(config):
                                  phase_rng=np.random.default_rng(config.seed + 2))
     dev_re = float(np.abs(plain.values.real - twisted.values.real).max())
     dev_berry = float(np.abs(-2 * plain.values.imag + 2 * twisted.values.imag).max())
-    return [CheckOutcome(
-        "properties[gauge-invariance]", "8", dev_re <= 1e-8 and dev_berry <= 1e-8,
-        f"metric shift {_fmt(dev_re)}, curvature shift {_fmt(dev_berry)} "
-        "under random phase twist (tol 1e-8)", time.perf_counter() - t0)]
+    return [(dev_re <= 1e-8 and dev_berry <= 1e-8,
+             f"metric shift {_fmt(dev_re)}, curvature shift {_fmt(dev_berry)} "
+             "under random phase twist (tol 1e-8)")]
 
 
-def _prop_uncertainty(config):
-    t0 = time.perf_counter()
+@check(("properties[uncertainty-bound]", "8"))
+def _prop_uncertainty(config: AcceptanceConfig) -> Result:
     model = get_model("sym-coupled")
     point = model.point(1.0, 0.8)
     fb = model.default_basis(point, 24)
@@ -424,14 +409,11 @@ def _prop_uncertainty(config):
         cov = qgt.covariance_from_state(model, point, qgt.StateSelector(qn), fb)
         herm = cov.entries + 0.5j * gauss.symplectic_form(cov.modes)
         lo = min(lo, float(np.linalg.eigvalsh(herm).min()))
-    return [CheckOutcome(
-        "properties[uncertainty-bound]", "8", lo >= -1e-10,
-        f"min eig(sigma + i Omega/2) = {_fmt(lo)} (tol -1e-10)",
-        time.perf_counter() - t0)]
+    return [(lo >= -1e-10, f"min eig(sigma + i Omega/2) = {_fmt(lo)} (tol -1e-10)")]
 
 
-def _prop_bianchi(config):
-    t0 = time.perf_counter()
+@check(("properties[bianchi]", "8"))
+def _prop_bianchi(config: AcceptanceConfig) -> Result:
     worst = 0.0
     cases = [
         (geometry.metric_field(get_model("gho-linear"), "metric_z1", (1,),
@@ -444,14 +426,12 @@ def _prop_bianchi(config):
         riem = geometry.riemann(f, x)
         cyc = riem + np.einsum('iklj->ijkl', riem) + np.einsum('iljk->ijkl', riem)
         worst = max(worst, float(np.abs(cyc).max() / max(np.abs(riem).max(), 1e-300)))
-    return [CheckOutcome(
-        "properties[bianchi]", "8", worst <= 1e-6,
-        f"max relative cyclic residual {_fmt(worst)} on 3D metrics (tol 1e-6)",
-        time.perf_counter() - t0)]
+    return [(worst <= 1e-6,
+             f"max relative cyclic residual {_fmt(worst)} on 3D metrics (tol 1e-6)")]
 
 
-def _prop_riemann_2d(config):
-    t0 = time.perf_counter()
+@check(("properties[riemann-2d-identity]", "8"))
+def _prop_riemann_2d(config: AcceptanceConfig) -> Result:
     worst = 0.0
     cases_2d = [
         (geometry.metric_field(get_model("gho"), "metric_sub:Z", (1,),
@@ -468,13 +448,11 @@ def _prop_riemann_2d(config):
                                        - np.einsum('il,jk->ijkl', g, g))
         scale = max(float(np.abs(expected).max()), 1e-300)
         worst = max(worst, float(np.abs(riem_dn - expected).max()) / scale)
-    return [CheckOutcome(
-        "properties[riemann-2d-identity]", "8", worst <= 1e-6,
-        f"max relative deviation {_fmt(worst)} (tol 1e-6)", time.perf_counter() - t0)]
+    return [(worst <= 1e-6, f"max relative deviation {_fmt(worst)} (tol 1e-6)")]
 
 
-def _prop_truncation(config):
-    t0 = time.perf_counter()
+@check(("properties[truncation-convergence]", "8"))
+def _prop_truncation(config: AcceptanceConfig) -> Result:
     model = get_model("gho")
     point = model.point(2.0, 0.9, 1.0)
 
@@ -503,69 +481,31 @@ def _prop_truncation(config):
             # truncation failure, not a crash
             converged = False
             parts.append(f"{label}: {exc}")
-    return [CheckOutcome(
-        "properties[truncation-convergence]", "8", converged,
-        f"relative changes {', '.join(parts)}; tol 1e-8",
-        time.perf_counter() - t0)]
+    return [(converged, f"relative changes {', '.join(parts)}; tol 1e-8")]
 
 
-def _check_properties(config: AcceptanceConfig) -> list[CheckOutcome]:
-    outcomes: list[CheckOutcome] = []
-    for name, fn in [
-        ("properties[hermiticity]", _prop_hermiticity),
-        ("properties[gauge-invariance]", _prop_gauge),
-        ("properties[uncertainty-bound]", _prop_uncertainty),
-        ("properties[bianchi]", _prop_bianchi),
-        ("properties[riemann-2d-identity]", _prop_riemann_2d),
-        ("properties[truncation-convergence]", _prop_truncation),
-    ]:
-        _guarded(outcomes, [(name, "8")], lambda fn=fn: fn(config))
-    return outcomes
+#: names of all checks, in run order
+CHECK_NAMES = tuple(name for entry in REGISTRY for name, _ in entry.names)
 
-
-GROUPS: tuple[Callable[[AcceptanceConfig], list[CheckOutcome]], ...] = (
-    _check_cross_methods,
-    _check_curvature_constants,
-    _check_flatness,
-    _check_entanglement,
-    _check_palumbo,
-    _check_divergence,
-    _check_properties,
-)
-
-#: names of all checks, for test parametrization (order matches run_checks)
-CHECK_NAMES = (
-    "cross-method[gho]", "closed-form[gho]",
-    "cross-method[gho-linear]", "closed-form[gho-linear]",
-    "cross-method[sym-coupled]", "closed-form[sym-coupled]",
-    "cross-method[lin-coupled]", "closed-form[lin-coupled]",
-    "cross-method[runtime]",
-    "curvature[oscillator-submanifolds]", "curvature[gaussian-minus-4]",
-    "curvature[lin-coupled-minus-8]", "curvature[linear-term-scalar]",
-    "curvature[linear-term-limits]",
-    "flatness[sym-coupled]", "flatness[beltrami]",
-    "entanglement[sym-coupled]", "entanglement[lin-coupled-printed-eqs]",
-    "entanglement[vacuum-nu]", "entanglement[monotonic-trends]",
-    "palumbo[berry-vs-det]",
-    "divergence[metric-determinants]", "divergence[reduced-phase-curvature]",
-    "properties[hermiticity]", "properties[gauge-invariance]",
-    "properties[uncertainty-bound]", "properties[bianchi]",
-    "properties[riemann-2d-identity]", "properties[truncation-convergence]",
-)
 
 def run_checks(config: AcceptanceConfig | None = None,
                printer: Callable[[str], None] | None = None) -> list[CheckOutcome]:
+    """Run every registered check once, timing it and containing its failure."""
     config = config or AcceptanceConfig()
     results: list[CheckOutcome] = []
-    for group in GROUPS:
+    seconds: dict[str, float] = {}  # name -> wall time of the check that emitted it
+    for entry in REGISTRY:
         t0 = time.perf_counter()
         try:
-            outcomes = group(config)
-        except Exception as exc:  # a crashed group is a failed group
-            outcomes = [CheckOutcome(
-                f"{group.__name__.lstrip('_')}[error]", "-", False,
-                f"{type(exc).__name__}: {exc}", time.perf_counter() - t0)]
-        for outcome in outcomes:
+            pairs = entry.run(config, seconds)
+            if len(pairs) != len(entry.names):
+                raise ValueError(f"{len(pairs)} outcomes for {len(entry.names)} names")
+        except Exception as exc:  # a raising check fails under its own names
+            pairs = [(False, f"{type(exc).__name__}: {exc}")] * len(entry.names)
+        dt = time.perf_counter() - t0
+        for (name, criterion), (passed, detail) in zip(entry.names, pairs):
+            seconds[name] = dt
+            outcome = CheckOutcome(name, criterion, bool(passed), detail, dt)
             results.append(outcome)
             if printer is not None:
                 mark = "PASS" if outcome.passed else "FAIL"

@@ -538,23 +538,50 @@ def cmd_entangle(cfg: JobConfig) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="INI config file; flags override it")
-    p.add_argument("--model", choices=list(MODEL_NAMES))
-    p.add_argument("--point", help="comma-separated parameter values")
-    p.add_argument("--n", help="quantum numbers, comma-separated, one per mode "
-                               "(default: the ground state)")
-    p.add_argument("--cutoff", type=int, help="Fock cutoff per mode")
-    p.add_argument("--method", help="perturbative,overlap-fd,covariance,closed-form|all")
-    p.add_argument("--out", help="output path ('-' for stdout)")
-    p.add_argument("--format", choices=["csv", "json"], dest="format")
-    p.add_argument("--no-header-timestamp", action="store_true",
-                   help="suppress the timestamp header line")
-    p.add_argument("--fd-step", type=float, dest="fd_step")
-    p.add_argument("--sigma", help="gaussian model: sigma(lambda) expression")
-    p.add_argument("--mu", help="gaussian model: mu(lambda) expression")
-    p.add_argument("--params", help="gaussian model: parameter names")
-    p.add_argument("--tolerance", type=float)
+_FLAGS = {
+    "--config": dict(help="INI config file; flags override it"),
+    "--model": dict(choices=list(MODEL_NAMES)),
+    "--point": dict(help="comma-separated parameter values"),
+    "--n": dict(help="quantum numbers, comma-separated, one per mode "
+                     "(default: the ground state)"),
+    "--cutoff": dict(type=int, help="Fock cutoff per mode"),
+    "--method": dict(help="perturbative,overlap-fd,covariance,closed-form|all"),
+    "--out": dict(help="output path ('-' for stdout)"),
+    "--format": dict(choices=["csv", "json"], dest="format"),
+    "--no-header-timestamp": dict(action="store_true",
+                                  help="suppress the timestamp header line"),
+    "--fd-step": dict(type=float, dest="fd_step"),
+    "--sigma": dict(help="gaussian model: sigma(lambda) expression"),
+    "--mu": dict(help="gaussian model: mu(lambda) expression"),
+    "--params": dict(help="gaussian model: parameter names"),
+    "--tolerance": dict(type=float),
+    "--axis": dict(action="append",
+                   help="grid axis name=start:stop:count (repeatable, max 2)"),
+    "--fix": dict(action="append", help="pin a parameter name=value"),
+    "--quantities": dict(help="comma list: det_metric,scalar,purity,entropy,nu,..."),
+    "--which": dict(help="param | param-z1 | phase:XY | phase-reduced "
+                         "| any closed-form metric name"),
+}
+
+# --config plus what resolve_model and quantum_numbers read
+_MODEL = ("--config", "--model", "--n", "--sigma", "--mu", "--params")
+# what Writer reads
+_OUTPUT = ("--out", "--format", "--no-header-timestamp")
+
+#: subcommand -> (help, handler, the flags it reads)
+SUBCOMMANDS = {
+    "eval": ("QGT blocks at a parameter point", cmd_eval,
+             _MODEL + ("--point", "--cutoff", "--method", "--fd-step", "--tolerance")
+             + _OUTPUT),
+    "sweep": ("quantities over a parameter grid", cmd_sweep,
+              _MODEL + ("--cutoff", "--tolerance", "--axis", "--fix", "--quantities")
+              + _OUTPUT),
+    "check": ("run the acceptance suite", cmd_check, ("--cutoff",)),
+    "curvature": ("FD curvature of a model metric", cmd_curvature,
+                  _MODEL + ("--point", "--which") + _OUTPUT),
+    "entangle": ("reduced-state entanglement measures", cmd_entangle,
+                 _MODEL + ("--point", "--cutoff") + _OUTPUT),
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -564,28 +591,11 @@ def make_parser() -> argparse.ArgumentParser:
                     "for oscillator models")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="QGT blocks at a parameter point")
-    _add_common(p)
-
-    p = sub.add_parser("sweep", help="quantities over a parameter grid")
-    _add_common(p)
-    p.add_argument("--axis", action="append",
-                   help="grid axis name=start:stop:count (repeatable, max 2)")
-    p.add_argument("--fix", action="append", help="pin a parameter name=value")
-    p.add_argument("--quantities",
-                   help="comma list: det_metric,scalar,purity,entropy,nu,...")
-
-    p = sub.add_parser("check", help="run the acceptance suite")
-    _add_common(p)
-
-    p = sub.add_parser("curvature", help="FD curvature of a model metric")
-    _add_common(p)
-    p.add_argument("--which", help="param | param-z1 | phase:XY | phase-reduced "
-                                   "| any closed-form metric name")
-
-    p = sub.add_parser("entangle", help="reduced-state entanglement measures")
-    _add_common(p)
+    for command, (help_text, _, flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag, spec in _FLAGS.items():  # in _FLAGS order, for stable --help
+            if flag in flags:
+                p.add_argument(flag, **spec)
     return parser
 
 
@@ -594,14 +604,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args)
-        handler = {
-            "eval": cmd_eval,
-            "sweep": cmd_sweep,
-            "check": cmd_check,
-            "curvature": cmd_curvature,
-            "entangle": cmd_entangle,
-        }[args.command]
-        return handler(cfg)
+        return SUBCOMMANDS[args.command][1](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

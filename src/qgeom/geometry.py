@@ -7,8 +7,8 @@ Riemann R^i_jkl = d_k Gamma^i_lj - d_l Gamma^i_kj + Gamma^s_lj Gamma^i_ks
 direct 2D scalar-curvature expression and the flat-coordinate pullback check
 for the symmetric-coupled system. Sign conventions: negative R = hyperbolic.
 
-Scalar outputs use Richardson (h, h/2) extrapolation by default; curvature
-stacks two FD derivatives, so the cancellation matters.
+Scalar outputs use Richardson (h, h/2) extrapolation; curvature stacks two
+FD derivatives, so the cancellation matters.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class MetricField:
 
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
-    source: str = "closed-form"
     step: np.ndarray | None = None  # per-coordinate default FD steps
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -49,8 +48,7 @@ class MetricField:
 
 def metric_field(model: Model, which: str, qn: Sequence[int],
                  coords: Sequence[str] | None = None,
-                 fixed: dict[str, float] | None = None,
-                 source: str = "closed-form") -> MetricField:
+                 fixed: dict[str, float] | None = None) -> MetricField:
     """Wrap one of a model's closed-form metrics as a field.
 
     which: a closed-form quantity name evaluating to a square matrix
@@ -74,7 +72,7 @@ def metric_field(model: Model, which: str, qn: Sequence[int],
         model.validate(point)
         return np.asarray(model.closed_form(which, point, qn), dtype=float)
 
-    return MetricField(len(coords), func, source=source)
+    return MetricField(len(coords), func)
 
 
 def chart_field(field: MetricField, center: np.ndarray,
@@ -128,7 +126,7 @@ def chart_field(field: MetricField, center: np.ndarray,
         j = jac(u)
         return field(to_x(u)) * np.outer(j, j)
 
-    return MetricField(field.dim, func, source=field.source), np.zeros(field.dim)
+    return MetricField(field.dim, func), np.zeros(field.dim)
 
 
 def default_steps(x: np.ndarray, step=None) -> np.ndarray:
@@ -210,8 +208,8 @@ def riemann(field: MetricField, x: np.ndarray, step=None) -> np.ndarray:
     return term1 - term2 + term3 - term4
 
 
-def ricci_scalar(field: MetricField, x: np.ndarray, step=None,
-                 richardson: bool = True) -> tuple[np.ndarray, float]:
+def ricci_scalar(field: MetricField, x: np.ndarray,
+                 step=None) -> tuple[np.ndarray, float]:
     """(Ricci tensor, scalar R); the scalar gets Richardson extrapolation."""
     x = np.asarray(x, dtype=float)
     h = default_steps(x, step if step is not None else field.step)
@@ -223,11 +221,8 @@ def ricci_scalar(field: MetricField, x: np.ndarray, step=None,
         return ric, float(np.einsum('jl,jl->', ginv, ric))
 
     ric, scalar = once(h)
-    if richardson:
-        ric2, scalar2 = once(h / 2)
-        ric = (4 * ric2 - ric) / 3
-        scalar = (4 * scalar2 - scalar) / 3
-    return ric, scalar
+    ric2, scalar2 = once(h / 2)
+    return (4 * ric2 - ric) / 3, (4 * scalar2 - scalar) / 3
 
 
 def flatness_threshold(g: np.ndarray, x: np.ndarray,
@@ -247,15 +242,12 @@ class CurvatureReport:
     flat_threshold: float
 
 
-def curvature_report(field: MetricField, x: np.ndarray, step=None,
-                     richardson: bool = True) -> CurvatureReport:
+def curvature_report(field: MetricField, x: np.ndarray,
+                     step=None) -> CurvatureReport:
     x = np.asarray(x, dtype=float)
     h = default_steps(x, step if step is not None else field.step)
-    gam = christoffel(field, x, h)
-    r4 = riemann(field, x, h)
-    if richardson:
-        gam = (4 * christoffel(field, x, h / 2) - gam) / 3
-        r4 = (4 * riemann(field, x, h / 2) - r4) / 3
+    gam = (4 * christoffel(field, x, h / 2) - christoffel(field, x, h)) / 3
+    r4 = (4 * riemann(field, x, h / 2) - riemann(field, x, h)) / 3
     ric = np.einsum('kjkl->jl', r4)
     g, ginv = _metric_and_inverse(field, x)
     scalar = float(np.einsum('jl,jl->', ginv, ric))
@@ -264,8 +256,7 @@ def curvature_report(field: MetricField, x: np.ndarray, step=None,
                            bool(np.abs(r4).max() <= thresh), thresh)
 
 
-def scalar_2d_direct(field: MetricField, x: np.ndarray, step=None,
-                     richardson: bool = True) -> float:
+def scalar_2d_direct(field: MetricField, x: np.ndarray, step=None) -> float:
     """Direct 2D scalar-curvature expression (no Christoffel assembly).
 
     R = (1/sqrt g) { d_1 [ (1/sqrt g)((g12/g11) d_2 g11 - d_1 g22) ]
@@ -301,9 +292,7 @@ def scalar_2d_direct(field: MetricField, x: np.ndarray, step=None,
         return total / math.sqrt(det)
 
     r = once(h)
-    if richardson:
-        r = (4 * once(h / 2) - r) / 3
-    return r
+    return (4 * once(h / 2) - r) / 3
 
 
 def beltrami_residual(model: Model, point: ParamPoint, qn: Sequence[int],

@@ -143,10 +143,8 @@ class Model(ABC):
         freqs = self.normal_modes(point).frequencies
         return float(np.exp(np.mean(np.log(freqs))))
 
-    def default_basis(self, point: ParamPoint, cutoff: int,
-                      frequency: float | None = None) -> FockBasis:
-        wb = self.basis_frequency(point) if frequency is None else float(frequency)
-        return make_basis(self.dof, cutoff, wb)
+    def default_basis(self, point: ParamPoint, cutoff: int) -> FockBasis:
+        return make_basis(self.dof, cutoff, self.basis_frequency(point))
 
     # ---- closed forms ---------------------------------------------------
 

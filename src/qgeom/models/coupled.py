@@ -71,6 +71,9 @@ class SymmetricCoupled(Model):
             raise DomainError(f"k0 must be positive, got {k0}")
         if k0 + 2 * k1 <= 0:
             raise DomainError(f"k0 + 2 k1 must be positive, got {k0 + 2 * k1}")
+        if not math.isfinite(k0 + 2 * k1):
+            raise DomainError(f"k0 + 2 k1 is out of floating-point range at "
+                              f"k0={k0}, k1={k1}")
 
     def _freqs(self, point):
         k0, k1 = point.values
@@ -243,6 +246,13 @@ class LinearCoupled(Model):
             raise DomainError(f"need C >= 0 (implemented branch), got C={C}")
         if 4 * A * B - C * C <= 0:
             raise DomainError(f"need 4AB - C^2 > 0, got {4 * A * B - C * C}")
+        if not math.isfinite(4 * A * B - C * C):
+            raise DomainError(f"4AB - C^2 is out of floating-point range at "
+                              f"A={A}, B={B}, C={C}")
+        eps = (B - A) / C if C else 0.0
+        if not math.isfinite(eps * eps):  # the mixing angle squares (B - A)/C
+            raise DomainError(f"((B - A)/C)^2 is out of floating-point range at "
+                              f"A={A}, B={B}, C={C}")
 
     def mixing(self, point):
         """(w1, w2, zeta); zeta = 0 at C = 0 by continuity."""

@@ -24,6 +24,9 @@ def _omega(X, Y, Z):
     disc = X * Z - Y * Y
     if disc <= 0 or Z <= 0:
         raise DomainError(f"need Z > 0 and XZ - Y^2 > 0, got Z={Z}, XZ-Y^2={disc}")
+    if not math.isfinite(disc):
+        raise DomainError(f"XZ - Y^2 is out of floating-point range at "
+                          f"X={X}, Y={Y}, Z={Z}")
     return math.sqrt(disc)
 
 

@@ -172,17 +172,16 @@ def _keep_count(dim: int, discard_top: float) -> int:
 
 
 def qgt_perturbative(model: Model, point: ParamPoint, sel: StateSelector,
-                     fb: FockBasis, *, discard_top: float = DISCARD_TOP,
-                     spectrum: Spectrum | None = None,
+                     fb: FockBasis, *, spectrum: Spectrum | None = None,
                      state: SelectedState | None = None) -> QGTResult:
     """Spectral-sum QGT over every key: parameters and (q_a, p_a) translations.
 
-    The top `discard_top` fraction of eigenpairs is dropped from the sum;
+    The top DISCARD_TOP fraction of eigenpairs is dropped from the sum;
     truncated-basis eigenvectors near the cutoff are boundary-contaminated.
     """
     model.validate(point)
     spec = spectrum if spectrum is not None else eigh(model.hamiltonian(point, fb))
-    keep = _keep_count(spec.dim, discard_top)
+    keep = _keep_count(spec.dim, DISCARD_TOP)
     if state is None:
         state = select_state(model, point, sel, fb, spectrum=spec)
     if state.index >= keep:
@@ -230,7 +229,7 @@ def _tracked_vector(spec: Spectrum, ref: np.ndarray, min_overlap: float,
 
 
 def qgt_overlap_fd(model: Model, point: ParamPoint, sel: StateSelector,
-                   fb: FockBasis, *, step=None, richardson: bool = False,
+                   fb: FockBasis, *, step=None,
                    phase_rng: np.random.Generator | None = None,
                    spectrum: Spectrum | None = None,
                    cache: dict | None = None,
@@ -240,7 +239,6 @@ def qgt_overlap_fd(model: Model, point: ParamPoint, sel: StateSelector,
     Displaced eigenvectors are matched to the center state by overlap and
     phase-aligned to it, which makes the result invariant under any incoming
     eigenvector phases (pass phase_rng to twist them deliberately and check).
-    With richardson=True the (h, h/2) extrapolant is returned.
     """
     model.validate(point)
     spec = spectrum if spectrum is not None else eigh(model.hamiltonian(point, fb))
@@ -257,26 +255,20 @@ def qgt_overlap_fd(model: Model, point: ParamPoint, sel: StateSelector,
             cache[key] = eigh(model.hamiltonian(shifted, fb))
         return cache[key]
 
-    def one_pass(hs: np.ndarray) -> np.ndarray:
-        ref = state.vector.astype(complex)
-        derivs = []
-        for i in range(len(point.values)):
-            plus = _tracked_vector(displaced(i, +1, hs[i]), ref,
-                                   sel.min_overlap, phase_rng)
-            minus = _tracked_vector(displaced(i, -1, hs[i]), ref,
-                                    sel.min_overlap, phase_rng)
-            derivs.append((plus - minus) / (2 * hs[i]))
-        n = len(derivs)
-        g = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            di_n = np.vdot(derivs[i], ref)
-            for j in range(n):
-                g[i, j] = np.vdot(derivs[i], derivs[j]) - di_n * np.vdot(ref, derivs[j])
-        return g
-
-    g = one_pass(steps)
-    if richardson:
-        g = (4.0 * one_pass(steps / 2) - g) / 3.0
+    ref = state.vector.astype(complex)
+    derivs = []
+    for i in range(len(point.values)):
+        plus = _tracked_vector(displaced(i, +1, steps[i]), ref,
+                               sel.min_overlap, phase_rng)
+        minus = _tracked_vector(displaced(i, -1, steps[i]), ref,
+                                sel.min_overlap, phase_rng)
+        derivs.append((plus - minus) / (2 * steps[i]))
+    n = len(derivs)
+    g = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        di_n = np.vdot(derivs[i], ref)
+        for j in range(n):
+            g[i, j] = np.vdot(derivs[i], derivs[j]) - di_n * np.vdot(ref, derivs[j])
     g = 0.5 * (g + g.conj().T)
     return QGTResult(model.param_names, g, tuple(sel.quantum_numbers), "overlap-fd")
 
@@ -367,27 +359,23 @@ def _rel(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def consistency_report(model: Model, point: ParamPoint, sel: StateSelector,
-                       fb: FockBasis, tolerances: dict | None = None,
-                       *, fd_step=None, spectrum: Spectrum | None = None,
+                       fb: FockBasis, *, spectrum: Spectrum | None = None,
                        fd_cache: dict | None = None) -> ConsistencyReport:
     """Pairwise agreement of all runnable pathways (and closed forms)."""
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
     spec = spectrum if spectrum is not None else eigh(model.hamiltonian(point, fb))
     state = select_state(model, point, sel, fb, spectrum=spec)
     pert = qgt_perturbative(model, point, sel, fb, spectrum=spec, state=state)
-    fd = qgt_overlap_fd(model, point, sel, fb, step=fd_step,
+    fd = qgt_overlap_fd(model, point, sel, fb,
                         spectrum=spec, cache=fd_cache, state=state)
     cov = covariance_from_state(model, point, sel, fb, spectrum=spec, state=state)
     phase_cov = phase_block_from_covariance(cov, tuple(sel.quantum_numbers))
     comps = [
         Comparison("param:perturbative-vs-overlap-fd",
                    _max_abs(pert.parameter_block(model), fd.values),
-                   tol["param:perturbative-vs-overlap-fd"], False),
+                   DEFAULT_TOLERANCES["param:perturbative-vs-overlap-fd"], False),
         Comparison("phase:perturbative-vs-covariance",
                    _max_abs(pert.phase_block(model), phase_cov.values),
-                   tol["phase:perturbative-vs-covariance"], False),
+                   DEFAULT_TOLERANCES["phase:perturbative-vs-covariance"], False),
     ]
     qn = model._check_qn(sel.quantum_numbers)
     for quantity, getter, key in (
@@ -400,5 +388,6 @@ def consistency_report(model: Model, point: ParamPoint, sel: StateSelector,
             closed = np.asarray(model.closed_form(quantity, point, qn), dtype=complex)
         except ValueError:
             continue  # closed form not defined for these quantum numbers
-        comps.append(Comparison(key, _rel(getter(model), closed), tol[key], True))
+        comps.append(Comparison(key, _rel(getter(model), closed),
+                                DEFAULT_TOLERANCES[key], True))
     return ConsistencyReport(model.name, point.values, qn, tuple(comps))

@@ -1,7 +1,7 @@
 """Acceptance gate: runs every criterion at its stated tolerance.
 
 One test per named check; each prints its PASS/FAIL line (run with -s to see
-them as they come). The full suite takes about a minute at the default
+them as they come). The full suite takes about half a minute at the default
 cutoffs (80 for one mode, 40 per mode for two).
 
 entanglement[lin-coupled-printed-eqs] compares the numeric reduced ground
@@ -9,14 +9,21 @@ state of the linearly coupled pair with the catalog's purity/entropy closed
 forms; see README "Printed closed forms corrected" for how those were fixed.
 """
 
+import dataclasses
+
 import pytest
 
+from qgeom import acceptance
 from qgeom.acceptance import AcceptanceConfig, CHECK_NAMES, run_checks
 
 
 @pytest.fixture(scope="session")
-def outcomes():
-    results = run_checks(AcceptanceConfig())
+def results():
+    return run_checks(AcceptanceConfig())
+
+
+@pytest.fixture(scope="session")
+def outcomes(results):
     return {r.name: r for r in results}
 
 
@@ -33,11 +40,40 @@ def test_every_criterion_is_covered(outcomes):
     assert criteria == {str(k) for k in range(1, 9)}
 
 
+def test_outcomes_follow_the_registry(results):
+    names = [o.name for o in results]
+    assert names == list(CHECK_NAMES)
+    assert not any("[error]" in name for name in names)
+
+
+def test_raising_check_fails_under_its_own_names(monkeypatch):
+    # stub every check, then make the two-outcome cross-method[gho-linear]
+    # run raise: both of its names fail with the error, the rest still run
+    def stub(entry):
+        return lambda config, seconds: [(True, "stub")] * len(entry.names)
+
+    def boom(config, seconds):
+        raise RuntimeError("probe exploded")
+
+    registry = [dataclasses.replace(entry, run=stub(entry))
+                for entry in acceptance.REGISTRY]
+    target = next(i for i, entry in enumerate(registry)
+                  if ("cross-method[gho-linear]", "1") in entry.names)
+    registry[target] = dataclasses.replace(registry[target], run=boom)
+    monkeypatch.setattr(acceptance, "REGISTRY", registry)
+    results = run_checks()
+    assert [o.name for o in results] == list(CHECK_NAMES)
+    failed = {o.name: o for o in results if not o.passed}
+    assert set(failed) == {"cross-method[gho-linear]", "closed-form[gho-linear]"}
+    for outcome in failed.values():
+        assert outcome.detail == "RuntimeError: probe exploded"
+
+
 def test_convergence_check_fails_when_under_resolved():
     # cutoff 12 leaves the probes unconverged; the doubling check must say so
     from qgeom.acceptance import _prop_truncation
     degraded = AcceptanceConfig(cutoff_1mode=12, cutoff_2mode=12)
-    outcome = _prop_truncation(degraded)[0]
-    assert not outcome.passed
-    healthy = _prop_truncation(AcceptanceConfig())[0]
-    assert healthy.passed
+    passed, _ = _prop_truncation(degraded)[0]
+    assert not passed
+    healthy, _ = _prop_truncation(AcceptanceConfig())[0]
+    assert healthy

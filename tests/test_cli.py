@@ -45,6 +45,29 @@ def test_eval_domain_message(capsys):
     assert "XZ - Y^2" in captured.err
 
 
+def _run_cli(*args):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "qgeom", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("args", [
+    ("--model", "gho", "--point", "1e200,0,1e200", CUT, "20"),
+    ("--model", "lin-coupled", "--point", "1e200,2e200,1", CUT, "10",
+     "--method", "covariance"),
+    ("--model", "sym-coupled", "--point", "1,1e308", CUT, "10"),
+])
+def test_overflowing_point_is_a_domain_error(args):
+    # a derived quantity (XZ - Y^2, 4AB - C^2, k0 + 2 k1) that overflows is
+    # rejected before any operator is built, so numpy never warns
+    done = _run_cli("eval", *args)
+    assert done.returncode == 2
+    assert done.stderr.startswith("domain error:")
+    assert "RuntimeWarning" not in done.stderr
+
+
 @pytest.mark.parametrize("sigma", ["1/(l1-l1)", "9^9^9", "exp(1000*l1)"])
 def test_expression_failure_exit_2(capsys, sigma):
     # division by zero, overflow in the expression, overflow in sigma^-5
@@ -378,11 +401,16 @@ def test_sweep_wrong_n_length_exit_2(capsys, tmp_path):
     assert not out_file.exists()
 
 
+def test_check_rejects_flags_it_does_not_read(tmp_path):
+    out_file = tmp_path / "check.csv"
+    for flags in (["--out", str(out_file)], ["--model", "gho"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", *flags])
+        assert exc.value.code == 2
+    assert not out_file.exists()
+
+
 def test_python_dash_m_runs_the_cli():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "qgeom", "--version"], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = _run_cli("--version")
     assert done.returncode == 0
     assert done.stdout.strip() == __version__

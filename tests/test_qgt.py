@@ -96,19 +96,6 @@ def test_overlap_fd_matches_perturbative(gho_setup):
         np.testing.assert_allclose(fd.values, pert.parameter_block(model), atol=1e-5)
 
 
-def test_overlap_fd_richardson_tightens(gho_setup):
-    model, point, fb = gho_setup
-    spec = eigh(model.hamiltonian(point, fb))
-    closed = model.closed_form("qgt", point, (1,))
-    plain = qgt.qgt_overlap_fd(model, point, qgt.selector(1), fb,
-                               spectrum=spec, step=1e-3)
-    rich = qgt.qgt_overlap_fd(model, point, qgt.selector(1), fb,
-                              spectrum=spec, step=1e-3, richardson=True)
-    err_plain = np.abs(plain.values - closed).max()
-    err_rich = np.abs(rich.values - closed).max()
-    assert err_rich < err_plain / 4
-
-
 def test_overlap_fd_gauge_invariance(gho_setup):
     model, point, fb = gho_setup
     spec = eigh(model.hamiltonian(point, fb))
