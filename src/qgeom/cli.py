@@ -415,8 +415,7 @@ def _sweep_one(model, values: dict, qn: tuple[int, ...], cfg: JobConfig):
                 row["det_metric"] = float(np.linalg.det(
                     np.asarray(model.closed_form("metric", point, qn))))
         elif quantity == "scalar":
-            row["scalar"] = float(model.closed_form(cfg.which if ":" in cfg.which
-                                                    else "scalar:param", point, qn))
+            row["scalar"] = float(model.closed_form("scalar:param", point, qn))
         elif quantity.startswith("scalar:"):
             row[quantity] = float(model.closed_form(quantity, point, qn))
         elif quantity == "purity":

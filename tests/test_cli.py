@@ -158,6 +158,23 @@ def test_sweep_curvature_columns(tmp_path):
                 model.closed_form(name, point, (0,)), rel=1e-12)
 
 
+def test_sweep_scalar_column_is_scalar_param(tmp_path):
+    # an INI `which` key does not redirect the `scalar` column
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text("[job]\nwhich = scalar:phase:XY\n")
+    out_file = tmp_path / "scalar.csv"
+    assert main(["sweep", "--config", str(cfg), "--model", "gho",
+                 "--axis", "Y=-0.5:0.5:3", "--fix", "X=2", "--fix", "Z=1",
+                 "--n", "0", "--quantities", "scalar", "--out", str(out_file)]) == 0
+    _, rows = parse_csv(out_file.read_text())
+    from qgeom.models import get_model
+    model = get_model("gho")
+    for row in rows:
+        point = model.point(2.0, float(row["point[Y]"]), 1.0)
+        assert float(row["scalar"]) == pytest.approx(
+            model.closed_form("scalar:param", point, (0,)), rel=1e-12)
+
+
 def test_sweep_error_column_keeps_running(tmp_path):
     out_file = tmp_path / "err.csv"
     # the grid crosses the domain boundary 4AB = C^2

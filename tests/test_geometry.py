@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -212,8 +214,9 @@ def test_chart_field_invariance():
 
 
 def test_default_steps():
+    rel = geometry.STEP_REL
     steps = geometry.default_steps(np.array([2.0, 0.0, -3.0]))
-    np.testing.assert_allclose(steps, [2e-3, 0.05 * 3 * 1e-3, 3e-3])
+    np.testing.assert_allclose(steps, [2 * rel, 0.05 * 3 * rel, 3 * rel])
     with pytest.raises(ValueError):
         geometry.default_steps(np.array([1.0]), step=-1e-3)
 
@@ -288,3 +291,59 @@ def test_chart_field_rejects_bad_kind():
         geometry.chart_field(f, np.array([1.0, 1.0]), ("log", "bogus"))
     with pytest.raises(ValueError, match="positive"):
         geometry.chart_field(f, np.array([1.0, 1.0]), ("log", -2.0))
+
+
+def test_oscillator_curvature_on_draw_edge():
+    # R = -16/b_0 along Y^2 = 0.9 X, the edge of the benchmark's gho draw
+    # (Y^2 <= 0.36 X Z with Z <= 2.5), where the FD truncation error is
+    # largest: a relative step of 1e-3 misses by 2.8e-4 there
+    model = get_model("gho")
+    f = geometry.metric_field(model, "metric_sub:Z", (0,), coords=("X", "Y"),
+                              fixed={"Z": 1.0})
+    for X in np.linspace(0.8, 2.5, 18):
+        for Y in (math.sqrt(0.9 * X), -math.sqrt(0.9 * X)):
+            _, r = geometry.ricci_scalar(f, np.array([X, Y]))
+            assert abs(r + 16.0) <= 1e-4, (X, Y, r)
+
+
+def counting(field):
+    """The field with its func wrapped by a per-point call counter."""
+    seen = collections.Counter()
+
+    def func(x):
+        seen[x.tobytes()] += 1
+        return field.func(x)
+
+    return dataclasses.replace(field, func=func), seen
+
+
+@pytest.mark.parametrize("call, model, which, qn, kw, x, evals", [
+    (geometry.ricci_scalar, "gho", "metric_sub:Z", (1,),
+     dict(coords=("X", "Y"), fixed={"Z": 1.0}), [1.3, -0.7], 23),
+    (geometry.ricci_scalar, "gho-linear", "metric_z1", (1,),
+     dict(coords=("W", "X", "Y"), fixed={"Z": 1.0}), [0.8, 1.7, 0.6], 47),
+    (geometry.curvature_report, "sym-coupled", "metric", (0, 0), {}, [1.0, 1.0], 25),
+    (geometry.scalar_2d_direct, "gho", "metric_sub:Z", (1,),
+     dict(coords=("X", "Y"), fixed={"Z": 1.0}), [1.3, -0.7], 23),
+])
+def test_each_stencil_point_evaluated_once(call, model, which, qn, kw, x, evals):
+    # without the per-call table these take 52, 100, 61 and 42 evaluations
+    f, seen = counting(geometry.metric_field(get_model(model), which, qn, **kw))
+    call(f, np.array(x))
+    assert max(seen.values()) == 1
+    assert sum(seen.values()) == evals
+
+
+def test_calls_share_no_table():
+    # g -> c g scales R by 1/c; a second call must see the changed func
+    scale = [1.0]
+    f = geometry.MetricField(
+        2, lambda x: scale[0] * np.array([[1.0, 0.0], [0.0, math.sin(x[0]) ** 2]]))
+    x = np.array([0.9, 0.2])
+    _, first = geometry.ricci_scalar(f, x)
+    direct = geometry.scalar_2d_direct(f, x)
+    scale[0] = 2.0
+    _, second = geometry.ricci_scalar(f, x)
+    assert first == pytest.approx(2.0, abs=1e-7)
+    assert second == pytest.approx(1.0, abs=1e-7)
+    assert geometry.scalar_2d_direct(f, x) == pytest.approx(direct / 2, abs=1e-7)
