@@ -26,7 +26,9 @@ import scipy.linalg
 
 from .errors import ConvergenceError, DegeneracyError, NumericalError
 
-HERMITICITY_RTOL = 1e-12
+# How far an operator handed to `eigh` may be from Hermitian, relative to its
+# largest entry.
+OPERATOR_HERMITICITY_RTOL = 1e-12
 DEGENERACY_RTOL = 1e-8
 # Seed of ARPACK's start vector, a fixed normal draw. A uniform vector is
 # symmetric under mode exchange, so Lanczos would never reach the
@@ -335,16 +337,20 @@ class Spectrum:
         """<k|v> for the first `upto` levels k (all by default), for a vector v
         or for each column v of a matrix.
 
-        One BLAS pass over `states`, which is neither copied nor recast:
-        complex states are conjugated through the small operand, and real
-        states meet the real and imaginary parts of complex vectors apart.
+        One matrix product, so one BLAS pass over `states`, which is neither
+        copied nor recast. Complex states are conjugated through the small
+        operand. Real states meet complex vectors as real numbers: the float
+        view of a complex (dim, m) array is its (dim, 2m) array of interleaved
+        Re and Im columns, and the float view of the (levels, 2m) product is
+        again complex.
         """
         states = self.states if upto is None else self.states[:, :upto]
         if np.iscomplexobj(states):
             return (vecs.conj().T @ states).conj().T
         if np.iscomplexobj(vecs):
-            return (states.T @ np.ascontiguousarray(vecs.real)
-                    + 1j * (states.T @ np.ascontiguousarray(vecs.imag)))
+            pairs = np.ascontiguousarray(vecs, dtype=complex).reshape(len(vecs), -1)
+            out = (states.T @ pairs.view(float)).view(complex)
+            return out if vecs.ndim == 2 else out[:, 0]
         return states.T @ vecs
 
     def gap_scale(self) -> float:
@@ -401,13 +407,14 @@ def _hermitian_entries(op) -> tuple[Pattern, np.ndarray]:
     adjoint = np.conj(data[pattern.transpose])
     scale = np.abs(data).max() or 1.0
     defect = np.abs(data - adjoint).max()
-    if defect > HERMITICITY_RTOL * scale:
+    if defect > OPERATOR_HERMITICITY_RTOL * scale:
         raise ValueError(
             f"eigh needs a Hermitian matrix, but max|A - A^dag| = {defect:.3e} "
-            f"exceeds {HERMITICITY_RTOL:.0e} * max|A|"
+            f"exceeds {OPERATOR_HERMITICITY_RTOL:.0e} * max|A|"
         )
     data = 0.5 * (data + adjoint)
-    if np.iscomplexobj(data) and np.abs(data.imag).max() <= HERMITICITY_RTOL * scale:
+    if (np.iscomplexobj(data)
+            and np.abs(data.imag).max() <= OPERATOR_HERMITICITY_RTOL * scale):
         data = data.real
     return pattern, data
 
@@ -455,7 +462,7 @@ def eigh(op, lowest: int | None = None) -> Spectrum:
     """Gauge-fixed Hermitian eigendecomposition, ascending.
 
     op is an Operator or a square matrix (dense or scipy.sparse); either must
-    be Hermitian to HERMITICITY_RTOL, and a NaN or inf entry raises
+    be Hermitian to OPERATOR_HERMITICITY_RTOL, and a NaN or inf entry raises
     NumericalError before any solve. By default every level comes from dense
     LAPACK (evd driver). lowest=k asks for the k lowest levels only, from
     shift-invert Lanczos (ARPACK, fixed start vector) on a banded Cholesky

@@ -11,10 +11,11 @@ Scalar outputs use Richardson (h, h/2) extrapolation; curvature stacks two
 FD derivatives, so the cancellation matters.
 
 Each curvature call (`ricci_scalar`, `curvature_report`, `scalar_2d_direct`,
-`riemann`, `christoffel`, `metric_derivatives`) evaluates each distinct
-stencil point once and forms each center's inverse metric once: it keeps one
-table of values keyed by the exact bytes of the point, which its nested calls
-share and which is dropped when it returns.
+`riemann`, `christoffel`, `metric_derivatives`) resolves its FD steps once
+and keeps one table of metric values, keyed by the exact bytes of the point,
+with each center's inverse metric. It hands both to the private `_riemann`,
+`_christoffel` and `_metric_derivatives` it nests, so each distinct stencil
+point is evaluated once. The table is dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -170,7 +171,6 @@ class _Table:
     def __init__(self, field: MetricField):
         self.field = field
         self.dim = field.dim
-        self.step = field.step
         self.values: dict[bytes, np.ndarray] = {}
         self.inverses: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -204,66 +204,71 @@ class _Table:
         return self.inverses[key]
 
 
-def _tabled(field) -> _Table:
-    """The caller's table when nested, else a fresh one for this call."""
-    return field if isinstance(field, _Table) else _Table(field)
-
-
-def metric_derivatives(field: MetricField, x: np.ndarray,
-                       step=None) -> np.ndarray:
-    """dg[k, i, j] = d_k g_ij by central differences."""
+def _resolved(field: MetricField, x: np.ndarray, step):
+    """(fresh table, x as floats, resolved steps) for one top-level call."""
     x = np.asarray(x, dtype=float)
-    field = _tabled(field)
-    h = default_steps(x, step if step is not None else field.step)
-    dg = np.empty((field.dim, field.dim, field.dim))
-    for k in range(field.dim):
+    return _Table(field), x, default_steps(x, step if step is not None else field.step)
+
+
+def _metric_derivatives(table: _Table, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    dg = np.empty((table.dim, table.dim, table.dim))
+    for k in range(table.dim):
         xp = x.copy(); xp[k] += h[k]
         xm = x.copy(); xm[k] -= h[k]
-        dg[k] = (field(xp) - field(xm)) / (2 * h[k])
+        dg[k] = (table(xp) - table(xm)) / (2 * h[k])
     return dg
 
 
-def christoffel(field: MetricField, x: np.ndarray, step=None) -> np.ndarray:
-    """Gamma[i, j, k] = Gamma^i_jk; symmetric in (j, k) by construction."""
-    x = np.asarray(x, dtype=float)
-    field = _tabled(field)
-    _, ginv = field.metric_and_inverse(x)
-    dg = metric_derivatives(field, x, step)
+def _christoffel(table: _Table, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    _, ginv = table.metric_and_inverse(x)
+    dg = _metric_derivatives(table, x, h)
     # Gamma^i_jk = 1/2 g^il (d_k g_lj + d_j g_lk - d_l g_jk)
     braces = np.einsum('klj->ljk', dg) + np.einsum('jlk->ljk', dg) - dg
     return 0.5 * np.einsum('il,ljk->ijk', ginv, braces)
 
 
-def riemann(field: MetricField, x: np.ndarray, step=None) -> np.ndarray:
-    """R[i, j, k, l] = R^i_jkl from FD derivatives of the Christoffel field."""
-    x = np.asarray(x, dtype=float)
-    field = _tabled(field)
-    h = default_steps(x, step if step is not None else field.step)
-    d = field.dim
+def _riemann(table: _Table, x: np.ndarray,
+             h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R^i_jkl, Gamma^i_jk at x): the center Christoffel symbols come along."""
+    d = table.dim
     dgam = np.empty((d, d, d, d))  # dgam[k, i, j, l] = d_k Gamma^i_jl
     for k in range(d):
         xp = x.copy(); xp[k] += h[k]
         xm = x.copy(); xm[k] -= h[k]
-        dgam[k] = (christoffel(field, xp, h) - christoffel(field, xm, h)) / (2 * h[k])
-    gam = christoffel(field, x, h)
+        dgam[k] = (_christoffel(table, xp, h) - _christoffel(table, xm, h)) / (2 * h[k])
+    gam = _christoffel(table, x, h)
     term1 = np.einsum('kilj->ijkl', dgam)
     term2 = np.einsum('likj->ijkl', dgam)
     term3 = np.einsum('slj,iks->ijkl', gam, gam)
     term4 = np.einsum('skj,ils->ijkl', gam, gam)
-    return term1 - term2 + term3 - term4
+    return term1 - term2 + term3 - term4, gam
+
+
+def metric_derivatives(field: MetricField, x: np.ndarray,
+                       step=None) -> np.ndarray:
+    """dg[k, i, j] = d_k g_ij by central differences."""
+    return _metric_derivatives(*_resolved(field, x, step))
+
+
+def christoffel(field: MetricField, x: np.ndarray, step=None) -> np.ndarray:
+    """Gamma[i, j, k] = Gamma^i_jk; symmetric in (j, k) by construction."""
+    return _christoffel(*_resolved(field, x, step))
+
+
+def riemann(field: MetricField, x: np.ndarray, step=None) -> np.ndarray:
+    """R[i, j, k, l] = R^i_jkl from FD derivatives of the Christoffel field."""
+    return _riemann(*_resolved(field, x, step))[0]
 
 
 def ricci_scalar(field: MetricField, x: np.ndarray,
                  step=None) -> tuple[np.ndarray, float]:
     """(Ricci tensor, scalar R); the scalar gets Richardson extrapolation."""
-    x = np.asarray(x, dtype=float)
-    field = _tabled(field)
-    h = default_steps(x, step if step is not None else field.step)
+    table, x, h = _resolved(field, x, step)
 
     def once(hh):
-        r4 = riemann(field, x, hh)
+        r4, _ = _riemann(table, x, hh)
         ric = np.einsum('kjkl->jl', r4)
-        _, ginv = field.metric_and_inverse(x)
+        _, ginv = table.metric_and_inverse(x)
         return ric, float(np.einsum('jl,jl->', ginv, ric))
 
     ric, scalar = once(h)
@@ -290,13 +295,13 @@ class CurvatureReport:
 
 def curvature_report(field: MetricField, x: np.ndarray,
                      step=None) -> CurvatureReport:
-    x = np.asarray(x, dtype=float)
-    field = _tabled(field)
-    h = default_steps(x, step if step is not None else field.step)
-    gam = (4 * christoffel(field, x, h / 2) - christoffel(field, x, h)) / 3
-    r4 = (4 * riemann(field, x, h / 2) - riemann(field, x, h)) / 3
+    table, x, h = _resolved(field, x, step)
+    r4_half, gam_half = _riemann(table, x, h / 2)
+    r4_full, gam_full = _riemann(table, x, h)
+    gam = (4 * gam_half - gam_full) / 3
+    r4 = (4 * r4_half - r4_full) / 3
     ric = np.einsum('kjkl->jl', r4)
-    g, ginv = field.metric_and_inverse(x)
+    g, ginv = table.metric_and_inverse(x)
     scalar = float(np.einsum('jl,jl->', ginv, ric))
     thresh = flatness_threshold(g, x)
     return CurvatureReport(gam, r4, ric, scalar,
@@ -312,25 +317,23 @@ def scalar_2d_direct(field: MetricField, x: np.ndarray, step=None) -> float:
     """
     if field.dim != 2:
         raise ValueError("the direct expression is for 2D metrics only")
-    x = np.asarray(x, dtype=float)
-    field = _tabled(field)
-    h = default_steps(x, step if step is not None else field.step)
+    table, x, h = _resolved(field, x, step)
 
     def brackets(y: np.ndarray, hh: np.ndarray) -> np.ndarray:
-        g = field(y)
+        g = table(y)
         if abs(g[0, 0]) < 1e-14 * max(np.abs(g).max(), 1.0):
             raise NumericalError("g11 vanishes; direct 2D expression inapplicable")
         det = g[0, 0] * g[1, 1] - g[0, 1] ** 2
         if det <= 0:
             raise NumericalError("metric determinant must be positive")
-        dg = metric_derivatives(field, y, hh)
+        dg = _metric_derivatives(table, y, hh)
         root = math.sqrt(det)
         b1 = (g[0, 1] / g[0, 0] * dg[1, 0, 0] - dg[0, 1, 1]) / root
         b2 = (2 * dg[0, 0, 1] - dg[1, 0, 0] - g[0, 1] / g[0, 0] * dg[0, 0, 0]) / root
         return np.array([b1, b2])
 
     def once(hh: np.ndarray) -> float:
-        g = field(x)
+        g = table(x)
         det = g[0, 0] * g[1, 1] - g[0, 1] ** 2
         total = 0.0
         for k in range(2):

@@ -26,7 +26,9 @@ from .fock import FockBasis, Spectrum, eigh
 from .gauss import CovarianceMatrix, symplectic_form
 from .models.base import Model, ParamPoint
 
-HERMITICITY_RTOL = 1e-10
+# How far a QGT block handed to `split` may be from Hermitian, relative to its
+# largest entry.
+RESULT_HERMITICITY_RTOL = 1e-10
 FD_STEP_REL = 1e-4
 DISCARD_TOP = 0.2
 
@@ -51,6 +53,8 @@ class StateSelector:
             raise ValueError("quantum numbers must be non-negative")
         if self.resolution not in ("auto", "energy-order", "overlap-track"):
             raise ValueError(f"unknown resolution {self.resolution!r}")
+        if not 0 < self.min_overlap <= 1:
+            raise ValueError(f"min_overlap must lie in (0, 1], not {self.min_overlap}")
         object.__setattr__(self, "quantum_numbers", qn)
 
     def mode(self, model: Model) -> str:
@@ -71,13 +75,37 @@ class SelectedState:
     overlap: float
 
 
-def _levels_at_or_below(model: Model, point: ParamPoint, qn: tuple[int, ...],
-                        cutoff: int) -> int:
+def _levels_at_or_below(freqs: np.ndarray, qn: tuple[int, ...], cutoff: int) -> int:
     """Analytic normal-mode levels, occupations below the cutoff, whose
     excitation energy sum w_a m_a does not exceed that of `qn`."""
-    freqs = np.asarray(model.normal_modes(point).frequencies)
     grid = np.indices((cutoff,) * len(qn)).reshape(len(qn), -1)
     return int(np.count_nonzero(freqs @ grid <= freqs @ np.asarray(qn)))
+
+
+# How far a candidate level's overlap must clear min_overlap to be accepted
+# without a scan: far above the rounding that separates one inner product
+# from the same entry of the scan's matrix product.
+MATCH_SLACK = 1e-12
+
+
+def _best_match(spec: Spectrum, ref: np.ndarray, candidate: int,
+                min_overlap: float) -> tuple[int, float]:
+    """The level k with the largest |<k|ref>| for a unit `ref`, and that value.
+
+    The levels are orthonormal, so sum_k |<k|ref>|^2 <= 1 (Bessel). A
+    candidate level with |<c|ref>| >= min_overlap + MATCH_SLACK, where
+    min_overlap > 1/sqrt(2), therefore leaves every other level below
+    1/sqrt(2): it is the argmax the scan would return, and it passes the
+    scan's min_overlap test too, found with one inner product. Otherwise,
+    and whenever min_overlap <= 1/sqrt(2), every level is projected on.
+    """
+    if min_overlap > math.sqrt(0.5):
+        mag = abs(np.vdot(spec.states[:, candidate], ref))
+        if mag >= min_overlap + MATCH_SLACK:
+            return candidate, float(mag)
+    overlaps = np.abs(spec.overlaps(ref))
+    idx = int(np.argmax(overlaps))
+    return idx, float(overlaps[idx])
 
 
 def select_state(model: Model, point: ParamPoint, sel: StateSelector,
@@ -86,15 +114,18 @@ def select_state(model: Model, point: ParamPoint, sel: StateSelector,
 
     Without a spectrum, only a window of the lowest levels is solved for:
     n + 3 in energy order, and in overlap tracking the analytic normal-mode
-    levels at or below the target plus 2.
+    levels at or below the target plus 2. Overlap tracking first tries the
+    level nearest the analytic energy E_0 + w.n (see `_best_match`).
     """
     qn = model._check_qn(sel.quantum_numbers)
     tracking = sel.mode(model) == "overlap-track"
     if not tracking and model.dof != 1:
         raise ValueError("energy-order resolution is only safe for one mode")
+    if tracking:
+        freqs = np.asarray(model.normal_modes(point).frequencies)
     spec = spectrum
     if spec is None:
-        window = (_levels_at_or_below(model, point, qn, fb.cutoff) + 2 if tracking
+        window = (_levels_at_or_below(freqs, qn, fb.cutoff) + 2 if tracking
                   else qn[0] + 3)
         spec = eigh(model.hamiltonian(point, fb), lowest=window)
     if not tracking:
@@ -112,15 +143,15 @@ def select_state(model: Model, point: ParamPoint, sel: StateSelector,
     if norm == 0:
         raise StateTrackingError("normal-mode target state vanished (cutoff too small)")
     target /= norm
-    overlaps = np.abs(spec.overlaps(target))
-    idx = int(np.argmax(overlaps))
-    if overlaps[idx] < sel.min_overlap:
+    expected = spec.energies[0] + freqs @ np.asarray(qn)
+    candidate = int(np.argmin(np.abs(spec.energies - expected)))
+    idx, mag = _best_match(spec, target, candidate, sel.min_overlap)
+    if mag < sel.min_overlap:
         raise StateTrackingError(
-            f"best overlap {overlaps[idx]:.3f} with the ({', '.join(map(str, qn))}) "
+            f"best overlap {mag:.3f} with the ({', '.join(map(str, qn))}) "
             f"normal-mode state is below {sel.min_overlap}"
         )
-    return SelectedState(idx, float(spec.energies[idx]), spec.vector(idx),
-                         float(overlaps[idx]))
+    return SelectedState(idx, float(spec.energies[idx]), spec.vector(idx), mag)
 
 
 @dataclass(frozen=True)
@@ -159,7 +190,7 @@ class QGTResult:
 
 def split(result: QGTResult) -> tuple[np.ndarray, np.ndarray]:
     """(metric, berry) = (Re G, -2 Im G); rejects non-Hermitian input."""
-    if result.hermiticity_defect() > HERMITICITY_RTOL:
+    if result.hermiticity_defect() > RESULT_HERMITICITY_RTOL:
         raise ValueError(
             f"QGT block is not Hermitian (defect {result.hermiticity_defect():.2e})"
         )
@@ -210,12 +241,12 @@ def _fd_steps(point: ParamPoint, step) -> np.ndarray:
     return arr
 
 
-def _tracked_vector(spec: Spectrum, ref: np.ndarray, min_overlap: float,
-                    rng: np.random.Generator | None) -> np.ndarray:
-    """Find the displaced twin of `ref` and align its phase to it."""
-    overlaps = spec.overlaps(ref)
-    idx = int(np.argmax(np.abs(overlaps)))
-    mag = abs(overlaps[idx])
+def _tracked_vector(spec: Spectrum, ref: np.ndarray, energy: float,
+                    min_overlap: float, rng: np.random.Generator | None) -> np.ndarray:
+    """Find the displaced twin of `ref`, a level at `energy`, and align its
+    phase to it. The twin level nearest that energy is tried first."""
+    candidate = int(np.argmin(np.abs(spec.energies - energy)))
+    idx, mag = _best_match(spec, ref, candidate, min_overlap)
     if mag < min_overlap:
         raise StateTrackingError(
             f"state tracking lost across displacement (overlap {mag:.3f})"
@@ -258,9 +289,9 @@ def qgt_overlap_fd(model: Model, point: ParamPoint, sel: StateSelector,
     ref = state.vector.astype(complex)
     derivs = []
     for i in range(len(point.values)):
-        plus = _tracked_vector(displaced(i, +1, steps[i]), ref,
+        plus = _tracked_vector(displaced(i, +1, steps[i]), ref, state.energy,
                                sel.min_overlap, phase_rng)
-        minus = _tracked_vector(displaced(i, -1, steps[i]), ref,
+        minus = _tracked_vector(displaced(i, -1, steps[i]), ref, state.energy,
                                 sel.min_overlap, phase_rng)
         derivs.append((plus - minus) / (2 * steps[i]))
     n = len(derivs)

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_reference import dense, spectral_sum
 from qgeom import gauss, qgt
 from qgeom.errors import DegeneracyError, StateTrackingError
-from qgeom.fock import eigh
+from qgeom.fock import Spectrum, eigh
 from qgeom.models import get_model
 
 CUTOFF_1 = 60
@@ -26,6 +28,10 @@ def test_selector_validation():
         qgt.StateSelector((-1,))
     with pytest.raises(ValueError):
         qgt.StateSelector((0,), resolution="nope")
+    for bad in (0.0, -0.1, 1.5):  # 0 accepts any level, > 1 none
+        with pytest.raises(ValueError, match="min_overlap"):
+            qgt.StateSelector((0,), min_overlap=bad)
+    assert qgt.StateSelector((0,), min_overlap=1.0).min_overlap == 1.0
     sel = qgt.selector(1, 2)
     assert sel.quantum_numbers == (1, 2)
 
@@ -412,3 +418,135 @@ def test_window_solve_matches_full_energy_order(name):
     full = eigh(model.hamiltonian(point, fb))
     for n in range(3):
         _assert_window_matches_full(model, point, qgt.selector(n), fb, full)
+
+
+def _full_scan(spec, ref, candidate, min_overlap):
+    # the reference match: project onto every level and take the argmax
+    overlaps = np.abs(spec.overlaps(ref))
+    idx = int(np.argmax(overlaps))
+    return idx, float(overlaps[idx])
+
+
+@pytest.fixture
+def overlap_calls(monkeypatch):
+    calls = []
+    real = Spectrum.overlaps
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Spectrum, "overlaps", counted)
+    return calls
+
+
+STATES_2 = [(m, n) for m in range(3) for n in range(3)]
+
+
+@pytest.mark.parametrize("name,values,states,misses", [
+    ("sym-coupled", 3, STATES_2, False),
+    ("lin-coupled", 3, STATES_2, False),
+    ("sym-coupled", 4, STATES_2, False),
+    ("lin-coupled", 4, STATES_2, False),
+    # w2 = 2 w1 up to 1e-5: (3, 1) sits 4e-6 from (1, 2), and an FD step
+    # moves the two levels apart by 1e-4, so a twin's level nearest the
+    # center energy is the wrong one and the full scan must take over
+    ("sym-coupled", (2.0, 3.0 + 1e-5), [(1, 2), (3, 1), (5, 0)], True),
+])
+def test_candidate_match_equals_full_scan(monkeypatch, overlap_calls, name, values,
+                                          states, misses):
+    model = get_model(name)
+    point = model.point(*values) if misses else _seeded_point(model, values)
+    fb = model.default_basis(point, 20)
+    spec = eigh(model.hamiltonian(point, fb))
+    cache: dict = {}
+
+    def run():
+        out = []
+        for qn in states:
+            sel = qgt.StateSelector(qn)
+            state = qgt.select_state(model, point, sel, fb, spectrum=spec)
+            fd = qgt.qgt_overlap_fd(model, point, sel, fb, spectrum=spec, cache=cache,
+                                    state=state)
+            out.append((state.index, fd.values.tobytes()))
+        return out
+
+    fast = run()
+    assert bool(overlap_calls) == misses  # a scan runs only where a candidate missed
+    monkeypatch.setattr(qgt, "_best_match", _full_scan)
+    assert run() == fast
+
+
+def test_low_min_overlap_takes_the_full_scan(overlap_calls):
+    model = get_model("sym-coupled")
+    point = model.point(1.0, 0.8)
+    fb = model.default_basis(point, CUTOFF_2)
+    spec = eigh(model.hamiltonian(point, fb))
+    fast = qgt.select_state(model, point, qgt.StateSelector((1, 2)), fb, spectrum=spec)
+    assert not overlap_calls
+    low = qgt.select_state(model, point, qgt.StateSelector((1, 2), min_overlap=0.5), fb,
+                           spectrum=spec)
+    assert overlap_calls == [spec]
+    assert low.index == fast.index
+
+
+def test_later_state_report_projects_onto_the_spectrum_once(overlap_calls):
+    # the spectral sum's amplitudes are the only projection onto every level
+    model = get_model("lin-coupled")
+    point = model.point(1.0, 2.0, 1.0)
+    fb = model.default_basis(point, CUTOFF_2)
+    spec = eigh(model.hamiltonian(point, fb))
+    cache: dict = {}
+    qgt.consistency_report(model, point, qgt.selector(0, 0), fb, spectrum=spec,
+                           fd_cache=cache)
+    overlap_calls.clear()
+    rep = qgt.consistency_report(model, point, qgt.selector(1, 2), fb, spectrum=spec,
+                                 fd_cache=cache)
+    assert rep.passed
+    assert overlap_calls == [spec]
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.integers(2, 10), levels=st.integers(1, 10),
+       picks=st.tuples(*[st.integers(0, 9)] * 3), seed=st.integers(0, 2**32 - 1),
+       complex_states=st.booleans(), weight=st.floats(0.0, 1.0), pair=st.booleans(),
+       min_overlap=st.one_of(
+           st.floats(0.0, 1.0, exclude_min=True),
+           st.sampled_from([math.sqrt(0.5), float(np.nextafter(math.sqrt(0.5), 2.0)),
+                            0.9, 1.0])))
+def test_tracked_vector_matches_full_argmax(dim, levels, picks, seed, complex_states,
+                                            weight, pair, min_overlap):
+    rng = np.random.default_rng(seed)
+    basis = rng.standard_normal((dim, dim))
+    if complex_states:
+        basis = basis + 1j * rng.standard_normal((dim, dim))
+    levels = min(levels, dim)
+    states = np.linalg.qr(basis)[0][:, :levels]
+    spec = Spectrum(np.sort(rng.uniform(0.0, 1.0, levels)), states)
+    # weight on level a, the rest on level b or a random direction; the
+    # candidate is level c
+    a, b, c = (k % levels for k in picks)
+    rest = states[:, b] if pair else rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    ref = math.sqrt(weight) * states[:, a] + math.sqrt(1 - weight) * rest / np.linalg.norm(rest)
+    if np.linalg.norm(ref) < 1e-3:
+        return
+    ref = (ref / np.linalg.norm(ref)).astype(complex)
+
+    overlaps = np.abs(spec.overlaps(ref))
+    best = int(np.argmax(overlaps))
+    idx, mag = qgt._best_match(spec, ref, c, min_overlap)
+    if overlaps[best] >= min_overlap:
+        assert idx == best
+    else:
+        assert (idx, mag) == (best, overlaps[best])
+
+    def tracked(match):
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(qgt, "_best_match", match)
+                return qgt._tracked_vector(spec, ref, spec.energies[c], min_overlap,
+                                           None).tobytes()
+        except StateTrackingError as exc:
+            return str(exc)
+
+    assert tracked(qgt._best_match) == tracked(_full_scan)
