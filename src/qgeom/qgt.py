@@ -69,17 +69,26 @@ def selector(*qn: int, **kw) -> StateSelector:
 
 @dataclass(frozen=True)
 class SelectedState:
+    """The selected eigenstate. index is its position in the spectrum that was
+    searched: the caller's spectrum, or the window `select_state` solved, which
+    may hold one parity sector only."""
+
     index: int
     energy: float
     vector: np.ndarray
     overlap: float
 
 
-def _levels_at_or_below(freqs: np.ndarray, qn: tuple[int, ...], cutoff: int) -> int:
+def _levels_at_or_below(freqs: np.ndarray, qn: tuple[int, ...], cutoff: int,
+                        parity: int | None = None) -> int:
     """Analytic normal-mode levels, occupations below the cutoff, whose
-    excitation energy sum w_a m_a does not exceed that of `qn`."""
+    excitation energy sum w_a m_a does not exceed that of `qn`; with a
+    parity, only the levels whose sum m_a has that parity."""
     grid = np.indices((cutoff,) * len(qn)).reshape(len(qn), -1)
-    return int(np.count_nonzero(freqs @ grid <= freqs @ np.asarray(qn)))
+    below = freqs @ grid <= freqs @ np.asarray(qn)
+    if parity is not None:
+        below &= grid.sum(axis=0) % 2 == parity
+    return int(np.count_nonzero(below))
 
 
 # How far a candidate level's overlap must clear min_overlap to be accepted
@@ -114,7 +123,11 @@ def select_state(model: Model, point: ParamPoint, sel: StateSelector,
 
     Without a spectrum, only a window of the lowest levels is solved for:
     n + 3 in energy order, and in overlap tracking the analytic normal-mode
-    levels at or below the target plus 2. Overlap tracking first tries the
+    levels at or below the target plus 2. A Hamiltonian without linear terms
+    keeps the parity (-1)^(n_1 + ... + n_N), and the normal-mode state n has
+    parity sum(n) mod 2, so overlap tracking then solves only that sector
+    and counts only its levels; an odd target also takes the even sector's
+    ground state, which it is raised from. Overlap tracking first tries the
     level nearest the analytic energy E_0 + w.n (see `_best_match`).
     """
     qn = model._check_qn(sel.quantum_numbers)
@@ -123,18 +136,24 @@ def select_state(model: Model, point: ParamPoint, sel: StateSelector,
         raise ValueError("energy-order resolution is only safe for one mode")
     if tracking:
         freqs = np.asarray(model.normal_modes(point).frequencies)
-    spec = spectrum
+    spec = ground = spectrum
     if spec is None:
-        window = (_levels_at_or_below(freqs, qn, fb.cutoff) + 2 if tracking
-                  else qn[0] + 3)
-        spec = eigh(model.hamiltonian(point, fb), lowest=window)
+        H = model.hamiltonian(point, fb)
+        if not tracking:
+            spec = eigh(H, lowest=qn[0] + 3)
+        else:
+            parity = sum(qn) % 2 if H.keeps_parity else None
+            window = _levels_at_or_below(freqs, qn, fb.cutoff, parity) + 2
+            spec = ground = eigh(H, lowest=window, parity=parity)
+            if parity == 1:
+                ground = eigh(H, lowest=1, parity=0)
     if not tracking:
         idx = qn[0]
         if idx >= spec.dim:
             raise ValueError(f"state {idx} beyond basis dimension {spec.dim}")
         return SelectedState(idx, float(spec.energies[idx]), spec.vector(idx), 1.0)
     ladders = model.normal_mode_ladders(point, fb)
-    target = spec.vector(0).astype(complex)
+    target = ground.vector(0).astype(complex)
     for b, n in zip(ladders, qn):
         raising = b.adjoint()
         for _ in range(n):
@@ -143,7 +162,7 @@ def select_state(model: Model, point: ParamPoint, sel: StateSelector,
     if norm == 0:
         raise StateTrackingError("normal-mode target state vanished (cutoff too small)")
     target /= norm
-    expected = spec.energies[0] + freqs @ np.asarray(qn)
+    expected = ground.energies[0] + freqs @ np.asarray(qn)
     candidate = int(np.argmin(np.abs(spec.energies - expected)))
     idx, mag = _best_match(spec, target, candidate, sel.min_overlap)
     if mag < sel.min_overlap:

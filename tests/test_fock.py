@@ -335,6 +335,47 @@ def test_eigh_lowest_window_matches_full(name, values):
         assert full.energies[0] < 0 < full.energies[-1]
 
 
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("name,values", [
+    ("sym-coupled", (1.0, 0.8)),
+    ("lin-coupled", (1.0, 2.0, 1.0)),
+    ("gho", (2.0, 0.5, 1.0)),         # complex Hermitian
+])
+def test_eigh_parity_sector_matches_full(name, values, parity):
+    H = _window_input(name, values)
+    assert H.keeps_parity
+    full = fock.eigh(H)
+    outside = H.monomials.parity != parity
+    # each full level lies in one sector; take those of this parity
+    weight_outside = np.sum(np.abs(full.states[outside]) ** 2, axis=0)
+    energies, states = full.energies[weight_outside < 0.5], full.states[:, weight_outside < 0.5]
+    for lowest in (12, None):  # the sector's window and its dense solve
+        spec = fock.eigh(H, lowest=lowest, parity=parity)
+        assert spec.dim == (12 if lowest else len(energies))
+        np.testing.assert_allclose(spec.energies, energies[:spec.dim], rtol=0, atol=1e-12)
+        overlaps = np.abs(np.sum(spec.states.conj() * states[:, :spec.dim], axis=0))
+        np.testing.assert_allclose(overlaps, 1.0, atol=1e-10)
+        assert spec.states.shape[0] == H.dim
+        assert not spec.states[outside].any()
+    # the dense fallback counts the sector's levels, not the basis's
+    assert fock.eigh(H, lowest=len(energies) - 1, parity=parity).dim == len(energies)
+
+
+def test_eigh_parity_sector_needs_a_parity_keeping_operator():
+    for name, values in (("gho-linear", (0.5, 2.0, 0.5, 1.0)), ("gaussian", (0.5, 0.3))):
+        H = _window_input(name, values)
+        assert not H.keeps_parity  # q_a or p_a terms join the sectors
+        for lowest in (3, None):
+            with pytest.raises(ValueError, match="joins the two parity sectors"):
+                fock.eigh(H, lowest=lowest, parity=0)
+    H = _window_input("sym-coupled", (1.0, 0.8))
+    for matrix in (dense(H), scipy.sparse.csr_array(dense(H))):
+        with pytest.raises(ValueError, match="needs an Operator"):
+            fock.eigh(matrix, lowest=3, parity=0)
+    with pytest.raises(ValueError, match="parity must be"):
+        fock.eigh(H, lowest=3, parity=2)
+
+
 def test_eigh_lowest_falls_back_to_full_solve():
     m = np.diag([3.0, 1.0, 2.0, 0.5])
     for k in (3, 4, 10):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import dense, spectral_sum
@@ -13,6 +13,7 @@ from qgeom.models import get_model
 
 CUTOFF_1 = 60
 CUTOFF_2 = 24
+STATES_2 = [(m, n) for m in range(3) for n in range(3)]
 
 
 @pytest.fixture(scope="module")
@@ -359,10 +360,14 @@ def test_overlap_track_matches_energy_order_single_mode():
     model = get_model("gho")
     point = model.point(2.0, 0.5, 1.0)
     fb = model.default_basis(point, CUTOFF_1)
-    by_energy = qgt.select_state(model, point, qgt.selector(2), fb)
+    full = eigh(model.hamiltonian(point, fb))
+    by_energy = qgt.select_state(model, point, qgt.selector(2), fb, spectrum=full)
+    # overlap tracking solves the even sector alone, so its index counts
+    # only even levels; the level itself must be the same
     by_overlap = qgt.select_state(
         model, point, qgt.StateSelector((2,), resolution="overlap-track"), fb)
-    assert by_energy.index == by_overlap.index
+    assert abs(by_overlap.energy - full.energies[by_energy.index]) <= 1e-10
+    assert abs(np.vdot(by_overlap.vector, full.vector(by_energy.index))) >= 1 - 1e-10
     assert by_overlap.overlap > 0.999
 
 
@@ -382,10 +387,11 @@ def _seeded_point(model, seed):
 
 
 def _assert_window_matches_full(model, point, sel, fb, full):
+    # the window's index counts the levels it solved (one parity sector for
+    # overlap tracking), so the level is identified by energy and overlap
     windowed = qgt.select_state(model, point, sel, fb)
     reference = qgt.select_state(model, point, sel, fb, spectrum=full)
-    assert windowed.index == reference.index
-    assert abs(windowed.energy - reference.energy) <= 1e-10
+    assert abs(windowed.energy - full.energies[reference.index]) <= 1e-10
     assert abs(np.vdot(windowed.vector, reference.vector)) >= 1 - 1e-10
     np.testing.assert_allclose(
         qgt.covariance_from_state(model, point, sel, fb).entries,
@@ -420,6 +426,99 @@ def test_window_solve_matches_full_energy_order(name):
         _assert_window_matches_full(model, point, qgt.selector(n), fb, full)
 
 
+@pytest.mark.parametrize("seed", [3, 4])  # seed 5 is the cutoff-40 test above
+@pytest.mark.parametrize("name", ["sym-coupled", "lin-coupled"])
+def test_sector_window_matches_full_spectrum(name, seed):
+    model = get_model(name)
+    point = _seeded_point(model, seed)
+    fb = model.default_basis(point, CUTOFF_2)
+    full = eigh(model.hamiltonian(point, fb))
+    for qn in STATES_2:
+        _assert_window_matches_full(model, point, qgt.StateSelector(qn), fb, full)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The keyword arguments of each fock.eigh call that qgt makes."""
+    calls = []
+    real = qgt.eigh
+
+    def counted(op, **kwargs):
+        calls.append(kwargs)
+        return real(op, **kwargs)
+
+    monkeypatch.setattr(qgt, "eigh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("qn", [(0, 0), (1, 1), (2, 0), (1, 0), (0, 1), (1, 2)])
+@pytest.mark.parametrize("name", ["sym-coupled", "lin-coupled"])
+def test_sector_window_solves(monkeypatch, eigh_calls, name, qn):
+    # one sector solve for an even target; an odd one adds the even ground state
+    model = get_model(name)
+    point = _seeded_point(model, 5)
+    fb = model.default_basis(point, CUTOFF_2)
+    builds = []
+    real = model.hamiltonian
+
+    def counted(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(model, "hamiltonian", counted)
+    qgt.select_state(model, point, qgt.StateSelector(qn), fb)
+    odd = sum(qn) % 2
+    assert [kw["parity"] for kw in eigh_calls] == ([1, 0] if odd else [0])
+    if odd:
+        assert eigh_calls[1]["lowest"] == 1  # the even ground state alone
+    assert len(builds) == 1
+
+
+def test_lin_entanglement_at_cutoff_100_through_the_sector_window(eigh_calls):
+    # README "Printed closed forms corrected": purity sqrt(2EF / (2EF + C^2)),
+    # entropy of nu = 1/(2 purity)
+    model = get_model("lin-coupled")
+    A, B, C = 1.0, 2.0, 1.0
+    point = model.point(A, B, C)
+    fb = model.default_basis(point, 100)
+    red = gauss.reduce(qgt.covariance_from_state(model, point, qgt.selector(0, 0), fb), [0])
+    assert [kw["parity"] for kw in eigh_calls] == [0]
+    E = math.sqrt(4 * A * B - C * C)
+    F = A + B + E
+    purity = math.sqrt(2 * E * F / (2 * E * F + C * C))
+    nu = 1.0 / (2.0 * purity)
+    entropy = (nu + 0.5) * math.log(nu + 0.5) - (nu - 0.5) * math.log(nu - 0.5)
+    assert gauss.purity(red) == pytest.approx(purity, abs=1e-8)
+    assert gauss.von_neumann_entropy(red) == pytest.approx(entropy, abs=1e-8)
+
+
+def _separated(freqs, qn, gap_rel=0.1, levels=8):
+    # the benchmark's draw rule: no level within 0.1 min(w) of the target
+    e = freqs @ np.asarray(qn)
+    grid = np.indices((levels, levels)).reshape(2, -1)
+    gaps = np.abs(freqs @ grid - e)
+    gaps[np.all(grid == np.asarray(qn)[:, None], axis=0)] = np.inf
+    return gaps.min() >= gap_rel * freqs.min()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["sym-coupled", "lin-coupled"]),
+       u=st.tuples(*[st.floats(0.0, 1.0)] * 3), qn=st.sampled_from(STATES_2))
+def test_sector_window_matches_full_on_benchmark_domain(name, u, qn):
+    # the two-mode sampling ranges of the benchmark
+    model = get_model(name)
+    if name == "sym-coupled":
+        point = model.point(0.6 + 1.6 * u[0], 0.3 + 1.9 * u[1])
+    else:
+        A, B = 0.7 + 0.6 * u[0], 1.8 + 1.2 * u[1]
+        point = model.point(A, B, (0.2 + 0.4 * u[2]) * 2 * math.sqrt(A * B))
+    freqs = np.asarray(model.normal_modes(point).frequencies)
+    assume(_separated(freqs, qn))
+    fb = model.default_basis(point, CUTOFF_2)
+    full = eigh(model.hamiltonian(point, fb))
+    _assert_window_matches_full(model, point, qgt.StateSelector(qn), fb, full)
+
+
 def _full_scan(spec, ref, candidate, min_overlap):
     # the reference match: project onto every level and take the argmax
     overlaps = np.abs(spec.overlaps(ref))
@@ -438,9 +537,6 @@ def overlap_calls(monkeypatch):
 
     monkeypatch.setattr(Spectrum, "overlaps", counted)
     return calls
-
-
-STATES_2 = [(m, n) for m in range(3) for n in range(3)]
 
 
 @pytest.mark.parametrize("name,values,states,misses", [
