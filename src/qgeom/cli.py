@@ -62,13 +62,10 @@ class JobConfig:
     mu: str = ""
     param_names: tuple[str, ...] = ()
     which: str = "metric"
-    tolerance: float = 1e-6
 
     def validate(self):
         if self.cutoff and self.cutoff < MIN_CUTOFF:
             raise UsageError(f"cutoff must be >= {MIN_CUTOFF}")
-        if self.tolerance <= 0:
-            raise UsageError("tolerances must be positive")
         if any(count < 1 for *_rest, count in self.axes):
             raise UsageError("grid counts must be >= 1")
         if self.fmt not in ("csv", "json"):
@@ -186,9 +183,6 @@ def build_config(args: argparse.Namespace) -> JobConfig:
     which = pick(getattr(args, "which", None), "which")
     if which:
         cfg.which = which
-    tol = pick(getattr(args, "tolerance", None), "tolerance")
-    if tol is not None:
-        cfg.tolerance = float(tol)
     cfg.validate()
     return cfg
 
@@ -309,8 +303,7 @@ def cmd_eval(cfg: JobConfig) -> int:
     sel = qgt.StateSelector(quantum_numbers(cfg, model))
     meta = {"command": "eval", "model": model.name, "point": list(point.values),
             "n": list(sel.quantum_numbers), "cutoff": cutoff,
-            "methods": list(cfg.methods), "tolerance": cfg.tolerance,
-            "version": __version__}
+            "methods": list(cfg.methods), "version": __version__}
     writer = Writer(cfg, meta)
     # only the spectral sum and the FD twins need every level; the
     # covariance alone solves for a window of the lowest ones
@@ -438,7 +431,6 @@ def cmd_sweep(cfg: JobConfig) -> int:
     meta = {"command": "sweep", "model": model.name,
             "axes": [list(a) for a in cfg.axes], "fixed": cfg.fixed,
             "n": list(qn), "quantities": list(cfg.quantities),
-            "tolerance": cfg.tolerance,
             "version": __version__}
     writer = Writer(cfg, meta)
     for values in _grid_points(cfg, model):
@@ -553,7 +545,6 @@ _FLAGS = {
     "--sigma": dict(help="gaussian model: sigma(lambda) expression"),
     "--mu": dict(help="gaussian model: mu(lambda) expression"),
     "--params": dict(help="gaussian model: parameter names"),
-    "--tolerance": dict(type=float),
     "--axis": dict(action="append",
                    help="grid axis name=start:stop:count (repeatable, max 2)"),
     "--fix": dict(action="append", help="pin a parameter name=value"),
@@ -570,11 +561,9 @@ _OUTPUT = ("--out", "--format", "--no-header-timestamp")
 #: subcommand -> (help, handler, the flags it reads)
 SUBCOMMANDS = {
     "eval": ("QGT blocks at a parameter point", cmd_eval,
-             _MODEL + ("--point", "--cutoff", "--method", "--fd-step", "--tolerance")
-             + _OUTPUT),
+             _MODEL + ("--point", "--cutoff", "--method", "--fd-step") + _OUTPUT),
     "sweep": ("quantities over a parameter grid", cmd_sweep,
-              _MODEL + ("--cutoff", "--tolerance", "--axis", "--fix", "--quantities")
-              + _OUTPUT),
+              _MODEL + ("--cutoff", "--axis", "--fix", "--quantities") + _OUTPUT),
     "check": ("run the acceptance suite", cmd_check, ("--cutoff",)),
     "curvature": ("FD curvature of a model metric", cmd_curvature,
                   _MODEL + ("--point", "--which") + _OUTPUT),

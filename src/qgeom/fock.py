@@ -3,16 +3,17 @@
 Operators are sparse. Each (modes, cutoff) caches its quadratic monomials
 at unit basis frequency once, on one shared CSR sparsity pattern: the
 identity, q_a, p_a and the symmetrized q_a q_b, p_a p_b and
-(q_a p_a + p_a q_a)/2. An `Operator` is a coefficient vector over them, so
-model builders do their arithmetic on a few coefficients, and the basis
-frequency enters only the coefficients. Eigensolves are gauge-fixed: every
-level by dense LAPACK, or the lowest few by shift-invert Lanczos (ARPACK) on
-a banded Cholesky factor of H - sigma, with sigma below the Gershgorin bound.
-The band costs (kd + 1) * dim entries, kd = 2 for one mode and 2 * cutoff
-for two: 128 MB for a real two-mode basis at cutoff 200. An operator without
-q_a or p_a terms commutes with the parity (-1)^(n_1 + ... + n_N), and a
-window may solve one parity sector alone: half the rows and about half the
-bandwidth, so a quarter of the band (32 MB at cutoff 200).
+(q_a p_a + p_a q_a)/2. An `Operator` is a coefficient vector over them, and
+the basis frequency enters only the coefficients; `form_operators` writes
+quadratic forms r^T M r/2 + b^T r + k straight into such vectors. Eigensolves
+are gauge-fixed: every level by dense LAPACK, or the lowest few by
+shift-invert Lanczos (ARPACK) on a banded Cholesky factor of H - sigma, with
+sigma below the Gershgorin bound. The band costs (kd + 1) * dim entries,
+kd = 2 for one mode and 2 * cutoff for two: 128 MB for a real two-mode basis
+at cutoff 200. An operator without q_a or p_a terms commutes with the parity
+(-1)^(n_1 + ... + n_N), and a window may solve one parity sector alone: half
+the rows and about half the bandwidth, so a quarter of the band (32 MB at
+cutoff 200).
 Units: hbar = 1; a mode with basis frequency w_b has q = (a + a^dag)/sqrt(2 w_b)
 and p = i sqrt(w_b/2) (a^dag - a).
 """
@@ -78,6 +79,18 @@ class FockBasis:
     def with_cutoff(self, cutoff: int) -> "FockBasis":
         return FockBasis(self.modes, cutoff, self.frequencies)
 
+    @cached_property
+    def monomial_scales(self) -> np.ndarray:
+        """The factor each unit-frequency monomial takes at this basis's
+        frequencies, in `Monomials.index` order: w_b^(-1/2) per q_a and
+        w_b^(1/2) per p_a, so (q_a p_a + p_a q_a)/2 keeps 1."""
+        root = [math.sqrt(w) for w in self.frequencies]
+        scales = []
+        for kind, *modes in monomials(self.modes, self.cutoff).index:
+            product = 1.0 if kind == "qp" else math.prod(root[a] for a in modes)
+            scales.append(1.0 / product if kind in ("q", "qq") else product)
+        return np.array(scales, dtype=float)
+
 
 def basis(modes: int, cutoff: int, frequency: float | Sequence[float] = 1.0) -> FockBasis:
     """Convenience constructor; a scalar frequency is shared by all modes."""
@@ -136,7 +149,12 @@ class Monomials:
     the phase is 1j for p_a and (q_a p_a + p_a q_a)/2 and 1 otherwise, so
     every monomial is Hermitian. index maps the keys ("1",), ("q", a),
     ("p", a), ("qq", a, b), ("pp", a, b) (a <= b) and ("qp", a) to k.
-    parity holds (n_1 + ... + n_N) mod 2 for each basis state.
+    parity holds (n_1 + ... + n_N) mod 2 for each basis state. form_map
+    takes the flattened form F = [[M, b], [b^T, 2k]] over (r, 1),
+    r = (q_1..q_N, p_1..p_N), whose (r, 1)^T F (r, 1)/2 is
+    r^T M r/2 + b^T r + k, to the unit-frequency coefficients: monomial k
+    takes F_ij/2 of its entry (i, j) if i = j, and F_ij if i < j, where F_ij
+    stands for itself and F_ji.
     """
 
     pattern: Pattern
@@ -144,6 +162,7 @@ class Monomials:
     data: np.ndarray
     phases: np.ndarray
     parity: np.ndarray
+    form_map: np.ndarray
 
     def operator(self, key: tuple, scale: float = 1.0) -> "Operator":
         coeffs = np.zeros(len(self.index))
@@ -202,31 +221,37 @@ def monomials(modes: int, cutoff: int) -> Monomials:
     def placed(at: dict) -> list:  # mode -> factor, identity elsewhere
         return [at.get(m, eye) for m in range(modes)]
 
-    terms = {("1",): (placed({}), 1)}
+    # each term: factors, phase and the entry of the form F that it carries
+    one = 2 * modes  # the position of 1 in (r, 1)
+    terms = {("1",): (placed({}), 1, (one, one))}
     for m in range(modes):
-        terms[("q", m)] = (placed({m: q}), 1)
-        terms[("p", m)] = (placed({m: p}), 1j)
+        terms[("q", m)] = (placed({m: q}), 1, (m, one))
+        terms[("p", m)] = (placed({m: p}), 1j, (modes + m, one))
     for m in range(modes):
-        terms[("qq", m, m)] = (placed({m: 0.5 * (qq + qq.T)}), 1)
-        terms[("pp", m, m)] = (placed({m: 0.5 * (pp + pp.T)}), 1)
+        terms[("qq", m, m)] = (placed({m: 0.5 * (qq + qq.T)}), 1, (m, m))
+        terms[("pp", m, m)] = (placed({m: 0.5 * (pp + pp.T)}), 1, (modes + m, modes + m))
         for n in range(m + 1, modes):  # distinct modes commute
-            terms[("qq", m, n)] = (placed({m: q, n: q}), 1)
-            terms[("pp", m, n)] = (placed({m: -p, n: p}), 1)  # (1j p)(1j p)
+            terms[("qq", m, n)] = (placed({m: q, n: q}), 1, (m, n))
+            # (1j p)(1j p)
+            terms[("pp", m, n)] = (placed({m: -p, n: p}), 1, (modes + m, modes + n))
     for m in range(modes):
-        terms[("qp", m)] = (placed({m: 0.5 * (qp - qp.T)}), 1j)
+        terms[("qp", m)] = (placed({m: 0.5 * (qp - qp.T)}), 1j, (m, modes + m))
 
     dim = cutoff ** modes
-    entries = [_kron_entries(factors) for factors, _ in terms.values()]
-    pattern = Pattern.of(np.concatenate([e[0] for e in entries]),
-                         np.concatenate([e[1] for e in entries]), dim)
+    nonzeros = [_kron_entries(factors) for factors, *_ in terms.values()]
+    pattern = Pattern.of(np.concatenate([e[0] for e in nonzeros]),
+                         np.concatenate([e[1] for e in nonzeros]), dim)
     keys = pattern.rows * dim + pattern.cols
     data = np.zeros((len(terms), len(keys)))
-    for k, (rows, cols, values) in enumerate(entries):
+    for k, (rows, cols, values) in enumerate(nonzeros):
         data[k, np.searchsorted(keys, rows * dim + cols)] = values
-    phases = np.array([phase for _, phase in terms.values()], dtype=complex)
+    phases = np.array([phase for _, phase, _ in terms.values()], dtype=complex)
     parity = np.indices((cutoff,) * modes).sum(axis=0).ravel() % 2
+    form_map = np.zeros((len(terms), one + 1, one + 1))
+    for k, (*_, (i, j)) in enumerate(terms.values()):
+        form_map[k, i, j] = 0.5 if i == j else 1.0
     return Monomials(pattern, {key: k for k, key in enumerate(terms)}, data, phases,
-                     parity)
+                     parity, form_map.reshape(len(terms), -1))
 
 
 class Operator:
@@ -264,12 +289,17 @@ class Operator:
         return Operator(self.monomials, np.conj(self.coeffs))
 
     def data(self) -> np.ndarray:
-        """Matrix entries on the shared pattern, real when they can be."""
+        """Matrix entries on the shared pattern, real when they can be.
+
+        Complex weights take one pass over the monomial data, as the float
+        view of their interleaved real and imaginary parts (see
+        `Spectrum.overlaps`).
+        """
         weights = self.coeffs * self.monomials.phases
-        out = weights.real @ self.monomials.data
-        if weights.imag.any():
-            out = out + 1j * (weights.imag @ self.monomials.data)
-        return out
+        if not weights.imag.any():
+            return weights.real @ self.monomials.data
+        pairs = np.ascontiguousarray(weights).view(float).reshape(-1, 2)
+        return (self.monomials.data.T @ pairs).view(complex).ravel()
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """The dense vector op |vec>."""
@@ -305,8 +335,32 @@ class Operator:
     __rmul__ = __mul__
 
 
-def identity(fb: FockBasis) -> Operator:
-    return monomials(fb.modes, fb.cutoff).operator(("1",))
+def form_operators(fb: FockBasis, forms) -> list[Operator]:
+    """The Weyl-ordered r^T M r/2 + b^T r + k of each form (M, b, k),
+    r = (q_1..q_N, p_1..p_N).
+
+    M is a symmetric 2N x 2N array, or None for a linear form; M, b and k
+    may be complex. The coefficient vectors are written directly, all forms
+    in one product with `Monomials.form_map`, each monomial taking its
+    `FockBasis.monomial_scales` factor. A non-symmetric M raises ValueError,
+    and so does an entry no monomial carries: q_a p_b of two different modes.
+    """
+    n, modes = 2 * fb.modes, fb.modes
+    M = np.array([np.zeros((n, n)) if form[0] is None else form[0] for form in forms])
+    b = np.array([form[1] for form in forms])
+    k = np.array([form[2] for form in forms])
+    if M.shape[1:] != (n, n) or b.shape[1:] != (n,):
+        raise ValueError(f"a form over {n} quadratures needs M of shape {(n, n)} "
+                         f"and b of shape {(n,)}")
+    if np.count_nonzero(M != M.transpose(0, 2, 1)):
+        raise ValueError("the form's M must be symmetric")
+    if np.count_nonzero(M[:, :modes, modes:][:, ~np.eye(modes, dtype=bool)]):
+        raise ValueError("a q_a p_b term of two different modes has no monomial")
+    form = np.zeros((len(forms), n + 1, n + 1), dtype=np.result_type(M, b, k))
+    form[:, :n, :n], form[:, :n, n], form[:, n, n] = M, b, 2 * k
+    mono = monomials(fb.modes, fb.cutoff)
+    coeffs = (form.reshape(len(forms), -1) @ mono.form_map.T) * fb.monomial_scales
+    return [Operator(mono, c) for c in coeffs]
 
 
 @dataclass(frozen=True)
@@ -327,14 +381,14 @@ def quadratics(fb: FockBasis) -> QuadraticSet:
     scales only the coefficients, q as w_b^(-1/2) and p as w_b^(1/2) per mode.
     """
     mono = monomials(fb.modes, fb.cutoff)
-    root = [math.sqrt(w) for w in fb.frequencies]
+    ops = {key: mono.operator(key, fb.monomial_scales[k]) for key, k in mono.index.items()}
     pairs = [(a, b) for a in range(fb.modes) for b in range(a, fb.modes)]
     return QuadraticSet(
-        tuple(mono.operator(("q", a), 1.0 / root[a]) for a in range(fb.modes)),
-        tuple(mono.operator(("p", a), root[a]) for a in range(fb.modes)),
-        {(a, b): mono.operator(("qq", a, b), 1.0 / (root[a] * root[b])) for a, b in pairs},
-        {(a, b): mono.operator(("pp", a, b), root[a] * root[b]) for a, b in pairs},
-        tuple(mono.operator(("qp", a)) for a in range(fb.modes)),
+        tuple(ops[("q", a)] for a in range(fb.modes)),
+        tuple(ops[("p", a)] for a in range(fb.modes)),
+        {pair: ops[("qq",) + pair] for pair in pairs},
+        {pair: ops[("pp",) + pair] for pair in pairs},
+        tuple(ops[("qp", a)] for a in range(fb.modes)),
     )
 
 

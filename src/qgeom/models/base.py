@@ -9,8 +9,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import DomainError
-from ..fock import FockBasis, Operator, basis as make_basis, quadratics
+from ..errors import DomainError, NumericalError
+from ..fock import FockBasis, Operator, basis as make_basis, form_operators
+from ..fock import quadratics  # noqa: F401  (perfbench instruments it here)
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,11 @@ class ParamPoint:
         return ParamPoint(self.names, tuple(vals))
 
 
+# How far the normal frequencies derived from a model's quadratic form may sit
+# from the ones it declares, relative to the declared ones.
+FREQUENCY_RTOL = 1e-10
+
+
 @dataclass(frozen=True)
 class NormalModeData:
     """Normal frequencies plus, when applicable, the mixing angle zeta."""
@@ -61,9 +67,11 @@ class NormalModeData:
 class Model(ABC):
     """A parameter-dependent Hamiltonian family with closed-form oracles.
 
-    Concrete models define the Hamiltonian/deformation builders (Weyl-ordered
-    sparse operators in a Fock basis), the normal-mode data, and a catalog of
-    closed-form quantities used as regression oracles.
+    Concrete models define `quadratic_form` and `form_derivatives`, the
+    normal-mode data (which fixes the mode labels and order), `validate`,
+    and a catalog of closed-form quantities used as regression oracles. The
+    Weyl-ordered sparse operators in a Fock basis (`hamiltonian`,
+    `deformations`, `normal_mode_ladders`) are derived here from the form.
     """
 
     name: str = ""
@@ -102,41 +110,63 @@ class Model(ABC):
     def labels(self) -> tuple[str, ...]:
         return self.param_names + self.phase_labels
 
-    # ---- operator builders --------------------------------------------------
-
-    def qp_operators(self, fb: FockBasis):
-        """All position and momentum matrices, (q_1..q_N, p_1..p_N)."""
-        quads = quadratics(fb)
-        return list(quads.qs), list(quads.ps)
+    # ---- the quadratic form and what follows from it -----------------------
 
     @abstractmethod
-    def hamiltonian(self, point: ParamPoint, fb: FockBasis) -> Operator:
-        ...
+    def quadratic_form(self, point: ParamPoint) -> tuple[np.ndarray, np.ndarray, float]:
+        """(M, b, k) of H = r^T M r/2 + b^T r + k, r = (q_1..q_N, p_1..p_N)."""
 
     @abstractmethod
-    def deformations(self, point: ParamPoint, fb: FockBasis) -> dict[str, Operator]:
-        """Weyl-ordered dH/dz for every key in self.labels."""
+    def form_derivatives(self, point: ParamPoint) -> list[tuple]:
+        """(dM_i, db_i, dk_i) of the form for each parameter, in order."""
 
     @abstractmethod
     def normal_modes(self, point: ParamPoint) -> NormalModeData:
         ...
 
+    def hamiltonian(self, point: ParamPoint, fb: FockBasis) -> Operator:
+        return form_operators(fb, [self.quadratic_form(point)])[0]
+
+    def deformations(self, point: ParamPoint, fb: FockBasis) -> dict[str, Operator]:
+        """Weyl-ordered dH/dz for every key in self.labels: the parameter
+        rows from `form_derivatives`, the phase rows dH/dr_a = (M r)_a + b_a."""
+        M, b, _ = self.quadratic_form(point)
+        phase = [(None, M[a], b[a]) for a in range(2 * self.dof)]
+        ops = form_operators(fb, self.form_derivatives(point) + phase)
+        return dict(zip(self.labels, ops))
+
     def normal_mode_ladders(self, point: ParamPoint, fb: FockBasis) -> list[Operator]:
-        """Lowering operators b_i of the analytic normal modes.
+        """Lowering operators b_k = c_k^T (r - r0), in the order of `normal_modes`.
 
-        Default: the model supplies normal coordinates via `normal_coordinates`;
-        b_i = sqrt(w_i/2) Q_i + i P_i / sqrt(2 w_i).
+        r0 = -M^{-1} b is the classical minimum, and c_k solves
+        -i M Omega c = w_k c with i c^T Omega c^* = 1, so [b_k, H] = w_k b_k
+        and [b_j, b_k^dag] = delta_jk. With M = L L^T, c = L v / sqrt(w) for
+        a unit eigenvector v of the Hermitian -i L^T Omega L (Williamson), so
+        the two ladders of a degenerate pair come out orthonormal too. The
+        derived frequencies are matched to the declared ones by rank; they
+        must agree to FREQUENCY_RTOL.
         """
-        data = self.normal_modes(point)
-        out = []
-        for i, (Q, P) in enumerate(self.normal_coordinates(point, fb)):
-            w = data.frequencies[i]
-            out.append(math.sqrt(w / 2.0) * Q + (1j / math.sqrt(2.0 * w)) * P)
-        return out
-
-    def normal_coordinates(self, point: ParamPoint, fb: FockBasis):
-        """Pairs (Q_i, P_i) of normal-mode quadratures; override per model."""
-        raise NotImplementedError
+        M, b, _ = self.quadratic_form(point)
+        n = self.dof
+        try:
+            L = np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            raise NumericalError(f"{self.name}: the form's M is not positive "
+                                 "definite") from None
+        omega_L = np.concatenate([L[n:], -L[:n]])  # Omega @ L
+        freqs, vecs = np.linalg.eigh(-1j * (L.T @ omega_L))  # -w_k..., +w_k...
+        shift = np.linalg.solve(M, b)  # -r0
+        declared = self.normal_modes(point).frequencies
+        forms = [None] * n
+        for rank, mode in enumerate(sorted(range(n), key=declared.__getitem__)):
+            w = freqs[n + rank]
+            if abs(w - declared[mode]) > FREQUENCY_RTOL * declared[mode]:
+                raise NumericalError(
+                    f"{self.name}: the form's normal frequency {w:.12g} differs "
+                    f"from the declared {declared[mode]:.12g}")
+            c = (L @ vecs[:, n + rank]) / math.sqrt(w)
+            forms[mode] = (None, c, c @ shift)
+        return form_operators(fb, forms)
 
     def basis_frequency(self, point: ParamPoint) -> float:
         """Geometric mean of the normal frequencies (default basis scaling)."""

@@ -19,8 +19,17 @@ import math
 import numpy as np
 
 from ..errors import DomainError
-from ..fock import quadratics
+from ..fock import quadratics  # noqa: F401  (perfbench instruments it here)
 from .base import Model, NormalModeData, aval, bval
+
+_KINETIC = np.diag([0.0, 0.0, 1.0, 1.0])  # the form of p1^2 + p2^2
+
+
+def _potential(K) -> np.ndarray:
+    """The 4x4 form matrix of q^T K q, for a symmetric 2x2 K."""
+    M = np.zeros((4, 4))
+    M[:2, :2] = K
+    return M
 
 
 def _omega_block(gq: np.ndarray, gp: np.ndarray) -> np.ndarray:
@@ -82,35 +91,13 @@ class SymmetricCoupled(Model):
     def normal_modes(self, point):
         return NormalModeData(self._freqs(point))
 
-    def hamiltonian(self, point, fb):
+    def quadratic_form(self, point):
         k0, k1 = point.values
-        quads = quadratics(fb)
-        kinetic = 0.5 * (quads.pp[(0, 0)] + quads.pp[(1, 1)])
-        self_term = quads.qq[(0, 0)] + quads.qq[(1, 1)]
-        rel_sq = self_term - 2 * quads.qq[(0, 1)]  # (q1 - q2)^2
-        return kinetic + 0.5 * k0 * self_term + 0.5 * k1 * rel_sq
+        return _KINETIC + _potential([[k0 + k1, -k1], [-k1, k0 + k1]]), np.zeros(4), 0.0
 
-    def deformations(self, point, fb):
-        k0, k1 = point.values
-        quads = quadratics(fb)
-        q1, q2 = quads.qs
-        self_term = quads.qq[(0, 0)] + quads.qq[(1, 1)]
-        rel_sq = self_term - 2 * quads.qq[(0, 1)]
-        rel = q1 - q2
-        return {
-            "k0": 0.5 * self_term,
-            "k1": 0.5 * rel_sq,
-            "q1": k0 * q1 + k1 * rel,
-            "q2": k0 * q2 + (-k1) * rel,
-            "p1": quads.ps[0],
-            "p2": quads.ps[1],
-        }
-
-    def normal_coordinates(self, point, fb):
-        (q1, q2), (p1, p2) = self.qp_operators(fb)
-        s = 1.0 / math.sqrt(2.0)
-        return [(s * (q1 + q2), s * (p1 + p2)),
-                (s * (q1 - q2), s * (p1 - p2))]
+    def form_derivatives(self, point):
+        return [(_potential(K), np.zeros(4), 0.0)  # q1^2 + q2^2, (q1 - q2)^2
+                for K in (np.eye(2), [[1, -1], [-1, 1]])]
 
     # -- closed forms ---------------------------------------------------------
 
@@ -269,33 +256,13 @@ class LinearCoupled(Model):
         w1, w2, zeta = self.mixing(point)
         return NormalModeData((w1, w2), angle=zeta)
 
-    def hamiltonian(self, point, fb):
+    def quadratic_form(self, point):
         A, B, C = point.values
-        quads = quadratics(fb)
-        return (0.5 * (quads.pp[(0, 0)] + quads.pp[(1, 1)])
-                + 0.5 * A * quads.qq[(0, 0)] + 0.5 * B * quads.qq[(1, 1)]
-                + 0.5 * C * quads.qq[(0, 1)])
+        return _KINETIC + _potential([[A, 0.5 * C], [0.5 * C, B]]), np.zeros(4), 0.0
 
-    def deformations(self, point, fb):
-        A, B, C = point.values
-        quads = quadratics(fb)
-        q1, q2 = quads.qs
-        return {
-            "A": 0.5 * quads.qq[(0, 0)],
-            "B": 0.5 * quads.qq[(1, 1)],
-            "C": 0.5 * quads.qq[(0, 1)],
-            "q1": A * q1 + 0.5 * C * q2,
-            "q2": B * q2 + 0.5 * C * q1,
-            "p1": quads.ps[0],
-            "p2": quads.ps[1],
-        }
-
-    def normal_coordinates(self, point, fb):
-        _, _, zeta = self.mixing(point)
-        c, s = math.cos(zeta), math.sin(zeta)
-        (q1, q2), (p1, p2) = self.qp_operators(fb)
-        return [(c * q1 + (-s) * q2, c * p1 + (-s) * p2),
-                (s * q1 + c * q2, s * p1 + c * p2)]
+    def form_derivatives(self, point):
+        return [(_potential(K), np.zeros(4), 0.0)
+                for K in ([[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 0.5], [0.5, 0]])]
 
     # -- closed forms ---------------------------------------------------------
 

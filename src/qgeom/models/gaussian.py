@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import DomainError
-from ..fock import identity, quadratics
+from ..fock import quadratics  # noqa: F401  (perfbench instruments it here)
 from .base import Model, NormalModeData, ParamPoint, aval
 
 Func2 = Callable[[float, float], float]
@@ -94,35 +94,22 @@ class GaussianModel(Model):
     def normal_modes(self, point):
         return NormalModeData((self.frequency(point),))
 
-    def _shifted_sq(self, fb, mu):
-        # (q - mu)^2 = q^2 - 2 mu q + mu^2
-        quads = quadratics(fb)
-        return (quads.qq[(0, 0)] - (2 * mu) * quads.qs[0]
-                + (mu * mu) * identity(fb))
-
-    def hamiltonian(self, point, fb):
+    def quadratic_form(self, point):
+        # p^2/2 + (q - mu)^2 / (2 sigma^4)
         s, mu = self.sigma_mu(point)
-        quads = quadratics(fb)
-        return 0.5 * quads.pp[(0, 0)] + (0.5 / s**4) * self._shifted_sq(fb, mu)
+        w2 = 1.0 / s**4
+        return np.diag([w2, 1.0]), np.array([-mu * w2, 0.0]), 0.5 * mu * mu * w2
 
-    def deformations(self, point, fb):
+    def form_derivatives(self, point):
         s, mu = self.sigma_mu(point)
         ds, dm = self.gradients(point)
-        quads = quadratics(fb)
-        shifted = quads.qs[0] - mu * identity(fb)
-        sq = self._shifted_sq(fb, mu)
-        out = {}
-        for i, name in enumerate(self.param_names):
-            dw2 = -4.0 * ds[i] / s**5  # d(omega^2)/d lambda_i
-            out[name] = 0.5 * dw2 * sq + (-dm[i] / s**4) * shifted
-        out["q1"] = (1.0 / s**4) * shifted
-        out["p1"] = quads.ps[0]
+        w2 = 1.0 / s**4
+        out = []
+        for dsi, dmi in zip(ds, dm):
+            dw2 = -4.0 * dsi * w2 / s  # d(sigma^-4)/d lambda_i
+            out.append((np.diag([dw2, 0.0]), np.array([-(dmi * w2 + mu * dw2), 0.0]),
+                        mu * dmi * w2 + 0.5 * mu * mu * dw2))
         return out
-
-    def normal_coordinates(self, point, fb):
-        s, mu = self.sigma_mu(point)
-        (q,), (p,) = self.qp_operators(fb)
-        return [(q - mu * identity(fb), p)]
 
     # -- closed forms (ground state) -------------------------------------
 

@@ -14,10 +14,15 @@ import math
 import numpy as np
 
 from ..errors import DomainError
-from ..fock import identity, quadratics
+from ..fock import quadratics  # noqa: F401  (perfbench instruments it here)
 from .base import Model, NormalModeData, ParamPoint, aval, bval
 
-_SUB_INDEX = {"X": 0, "Y": 1, "Z": 2}
+
+def _xyz_derivatives() -> list:
+    """d(M, b, k) of the oscillator's form along X, Y and Z, the same at
+    every point."""
+    return [(np.array(dM, dtype=float), np.zeros(2), 0.0)
+            for dM in ([[1, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 0], [0, 1]])]
 
 
 def _omega(X, Y, Z):
@@ -57,34 +62,15 @@ class GeneralizedOscillator(Model):
     def validate(self, point):
         _omega(point["X"], point["Y"], point["Z"])
 
-    def hamiltonian(self, point, fb):
+    def quadratic_form(self, point):
         X, Y, Z = point.values
-        quads = quadratics(fb)
-        return (0.5 * Z * quads.pp[(0, 0)] + Y * quads.qp[0]
-                + 0.5 * X * quads.qq[(0, 0)])
+        return np.array([[X, Y], [Y, Z]]), np.zeros(2), 0.0
 
-    def deformations(self, point, fb):
-        X, Y, Z = point.values
-        quads = quadratics(fb)
-        q, p = quads.qs[0], quads.ps[0]
-        return {
-            "X": 0.5 * quads.qq[(0, 0)],
-            "Y": quads.qp[0],
-            "Z": 0.5 * quads.pp[(0, 0)],
-            "q1": Y * p + X * q,
-            "p1": Z * p + Y * q,
-        }
+    def form_derivatives(self, point):
+        return _xyz_derivatives()
 
     def normal_modes(self, point):
         return NormalModeData((_omega(*point.values),))
-
-    def normal_coordinates(self, point, fb):
-        X, Y, Z = point.values
-        (q,), (p,) = self.qp_operators(fb)
-        rZ = math.sqrt(Z)
-        Q = (1.0 / rZ) * q
-        P = rZ * p + (Y / rZ) * q
-        return [(Q, P)]
 
     # -- closed forms --------------------------------------------------------
 
@@ -208,39 +194,16 @@ class GeneralizedOscillatorLinear(Model):
     def validate(self, point):
         _omega(point["X"], point["Y"], point["Z"])
 
-    def hamiltonian(self, point, fb):
+    def quadratic_form(self, point):
         W, X, Y, Z = point.values
-        quads = quadratics(fb)
-        return (0.5 * Z * quads.pp[(0, 0)] + Y * quads.qp[0]
-                + 0.5 * X * quads.qq[(0, 0)] + W * quads.qs[0])
+        return np.array([[X, Y], [Y, Z]]), np.array([W, 0.0]), 0.0
 
-    def deformations(self, point, fb):
-        W, X, Y, Z = point.values
-        quads = quadratics(fb)
-        q, p = quads.qs[0], quads.ps[0]
-        return {
-            "W": q,
-            "X": 0.5 * quads.qq[(0, 0)],
-            "Y": quads.qp[0],
-            "Z": 0.5 * quads.pp[(0, 0)],
-            "q1": Y * p + X * q + W * identity(fb),
-            "p1": Z * p + Y * q,
-        }
+    def form_derivatives(self, point):
+        return [(np.zeros((2, 2)), np.array([1.0, 0.0]), 0.0)] + _xyz_derivatives()
 
     def normal_modes(self, point):
         W, X, Y, Z = point.values
         return NormalModeData((_omega(X, Y, Z),))
-
-    def normal_coordinates(self, point, fb):
-        W, X, Y, Z = point.values
-        w2 = X * Z - Y * Y
-        (q,), (p,) = self.qp_operators(fb)
-        rZ = math.sqrt(Z)
-        one = identity(fb)
-        # q = sqrt(Z) Q - WZ/w^2  =>  Q = (q + WZ/w^2)/sqrt(Z)
-        Q = (1.0 / rZ) * q + (W * rZ / w2) * one
-        P = rZ * p + (Y / rZ) * q + (Y * W * rZ / w2) * one
-        return [(Q, P)]
 
     def _cf_energy(self, point, qn):
         W, X, Y, Z = point.values

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import StateTrackingError
-from .fock import FockBasis, Spectrum, eigh
+from .fock import FockBasis, Spectrum, eigh, quadratics
 from .gauss import CovarianceMatrix, symplectic_form
 from .models.base import Model, ParamPoint
 
@@ -331,13 +331,13 @@ def covariance_from_state(model: Model, point: ParamPoint, sel: StateSelector,
     model.validate(point)
     if state is None:
         state = select_state(model, point, sel, fb, spectrum=spectrum)
-    qs, ps = model.qp_operators(fb)
-    quads = qs + ps
+    quads = quadratics(fb)
+    ops = quads.qs + quads.ps
     vec = state.vector.astype(complex)
     # for Hermitian r_i: <{r_i, r_j}>/2 = Re[(r_i v)^dag (r_j v)]
-    images = [op.apply(vec) for op in quads]
+    images = [op.apply(vec) for op in ops]
     firsts = np.array([np.vdot(vec, w).real for w in images])
-    n2 = len(quads)
+    n2 = len(ops)
     sigma = np.empty((n2, n2))
     for i in range(n2):
         for j in range(i, n2):

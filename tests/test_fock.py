@@ -144,7 +144,7 @@ def test_monomials_match_dense_weyl_products(modes, frequencies):
     quads = fock.quadratics(fb)
     ref = [dict(zip("qp", position_momentum(modes, cutoff, frequencies[a], a)))
            for a in range(modes)]
-    got = {("1",): fock.identity(fb)}
+    got = {("1",): fock.form_operators(fb, [(None, np.zeros(2 * modes), 1.0)])[0]}
     got.update({("q", a): op for a, op in enumerate(quads.qs)})
     got.update({("p", a): op for a, op in enumerate(quads.ps)})
     got.update({("qq",) + key: op for key, op in quads.qq.items()})
@@ -161,6 +161,45 @@ def test_monomials_match_dense_weyl_products(modes, frequencies):
             expected = weyl_product(*(ref[a][kind[0]] for a in modes_of))
         assert op.hermitian, key
         np.testing.assert_allclose(dense(op), expected, atol=1e-13, err_msg=str(key))
+
+
+@pytest.mark.parametrize("modes,frequencies", [(1, (0.7,)), (2, (0.8, 1.7))])
+def test_form_operators_match_dense_weyl_form(modes, frequencies):
+    # r^T M r/2 + b^T r + k, every pair of r Weyl-ordered, from dense q and p
+    cutoff = 7
+    fb = fock.basis(modes, cutoff, frequencies)
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((2 * modes, 2 * modes))
+    M = M + M.T
+    if modes == 2:
+        M[0, 3] = M[3, 0] = M[1, 2] = M[2, 1] = 0.0  # q_a p_b of two modes
+    b, k = rng.standard_normal(2 * modes), 0.3
+    qp = [position_momentum(modes, cutoff, frequencies[a], a) for a in range(modes)]
+    r = [q for q, _ in qp] + [p for _, p in qp]
+    expected = k * np.eye(fb.dim) + sum(b[i] * r[i] for i in range(2 * modes))
+    for i in range(2 * modes):
+        for j in range(2 * modes):
+            expected = expected + 0.5 * M[i, j] * weyl_product(r[i], r[j])
+    # with a complex linear form, as a ladder, in the same call
+    op, linear = fock.form_operators(fb, [(M, b, k), (None, 1j * b, 2.0)])
+    assert op.hermitian
+    np.testing.assert_allclose(dense(op), expected, atol=1e-12)
+    np.testing.assert_allclose(dense(linear), 2.0 * np.eye(fb.dim) + 1j * sum(
+        b[i] * r[i] for i in range(2 * modes)), atol=1e-12)
+
+
+def test_form_operators_reject_forms_without_monomials():
+    fb = fock.basis(2, 4)
+    cross = np.eye(4)
+    cross[0, 3] = cross[3, 0] = 0.5  # q1 p2
+    with pytest.raises(ValueError, match="no monomial"):
+        fock.form_operators(fb, [(cross, np.zeros(4), 0.0)])
+    skew = np.eye(4)
+    skew[0, 1] = 0.5
+    with pytest.raises(ValueError, match="symmetric"):
+        fock.form_operators(fb, [(np.eye(4), np.zeros(4), 0.0), (skew, np.zeros(4), 0.0)])
+    with pytest.raises(ValueError, match="shape"):
+        fock.form_operators(fb, [(np.eye(2), np.zeros(4), 0.0)])
 
 
 def test_operator_matrix_hermitian_flag():

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from dense_reference import dense
-from qgeom import fock, gauss
-from qgeom.errors import DomainError
-from qgeom.models import (LinearCoupled, SymmetricCoupled, get_model,
+from dense_reference import commutator, dagger, dense, position_momentum
+from qgeom import MODEL_NAMES, fock, gauss
+from qgeom.errors import DomainError, NumericalError
+from qgeom.models import (GeneralizedOscillator, NormalModeData, get_model,
                           oscillator_slice_gaussian)
-
-ALL_MODELS = ["gho", "gho-linear", "sym-coupled", "lin-coupled", "gaussian"]
 
 PROBE = {
     "gho": (2.0, 0.5, 1.0),
@@ -23,8 +21,10 @@ PROBE = {
 def test_registry():
     with pytest.raises(ValueError):
         get_model("nope")
-    for name in ALL_MODELS:
+    for name in MODEL_NAMES:
         assert get_model(name).name == name
+    # a new catalog model cannot skip the form, deformation and ladder tests
+    assert set(PROBE) == set(MODEL_NAMES)
 
 
 @pytest.mark.parametrize("name,values", [
@@ -42,7 +42,7 @@ def test_domain_violations(name, values):
         get_model(name).point(*values)
 
 
-@pytest.mark.parametrize("name", ALL_MODELS)
+@pytest.mark.parametrize("name", MODEL_NAMES)
 def test_deformations_are_hermitian_and_complete(name):
     model = get_model(name)
     point = model.point(*PROBE[name])
@@ -55,7 +55,7 @@ def test_deformations_are_hermitian_and_complete(name):
         assert np.abs(m - m.conj().T).max() <= 1e-12 * scale, key
 
 
-@pytest.mark.parametrize("name", ALL_MODELS)
+@pytest.mark.parametrize("name", MODEL_NAMES)
 def test_deformations_match_hamiltonian_derivative(name):
     # central difference of H along each parameter reproduces dH/dlambda
     model = get_model(name)
@@ -70,7 +70,7 @@ def test_deformations_match_hamiltonian_derivative(name):
         assert np.abs(fd - dense(ops[pname])).max() <= 1e-6, pname
 
 
-@pytest.mark.parametrize("name", ALL_MODELS)
+@pytest.mark.parametrize("name", MODEL_NAMES)
 def test_hamiltonian_hermitian_and_bounded(name):
     model = get_model(name)
     point = model.point(*PROBE[name])
@@ -80,6 +80,81 @@ def test_hamiltonian_hermitian_and_bounded(name):
     spec = fock.eigh(H)
     closed = model.closed_form("energy", point, (0,) * model.dof)
     assert abs(spec.energies[0] - closed) < 1e-6
+
+
+def _inner_block(fb):
+    """Basis states at least 3 below the cutoff in every mode: there a
+    quadratic and a linear operator commute as they would untruncated."""
+    occupations = np.indices((fb.cutoff,) * fb.modes).reshape(fb.modes, -1)
+    return np.flatnonzero((occupations <= fb.cutoff - 4).all(axis=0))
+
+
+def _small_basis(model, point):
+    return model.default_basis(point, 8 if model.dof == 2 else 12)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_phase_deformations_are_heisenberg_commutators(name):
+    # dH/dq_a = i[p_a, H] and dH/dp_a = -i[q_a, H], with dense q and p
+    model = get_model(name)
+    point = model.point(*PROBE[name])
+    fb = _small_basis(model, point)
+    H = dense(model.hamiltonian(point, fb))
+    ops = model.deformations(point, fb)
+    block = _inner_block(fb)
+    for a in range(model.dof):
+        q, p = position_momentum(fb.modes, fb.cutoff, fb.frequencies[a], a)
+        for label, expected in ((f"q{a + 1}", 1j * commutator(p, H)),
+                                (f"p{a + 1}", -1j * commutator(q, H))):
+            np.testing.assert_allclose(dense(ops[label])[:, block], expected[:, block],
+                                       atol=1e-12, err_msg=label)
+
+
+# every catalog probe, plus sym-coupled with equal frequencies (k1 = 0) and
+# with its modes declared in descending order (k1 < 0)
+LADDER_POINTS = [(name, PROBE[name]) for name in MODEL_NAMES] + [
+    ("sym-coupled", (1.0, 0.0)), ("sym-coupled", (1.0, -0.3))]
+
+
+@pytest.mark.parametrize("name,values", LADDER_POINTS)
+def test_ladders_lower_by_their_frequency(name, values):
+    # [b_k, H] = w_k b_k and [b_j, b_k^dag] = delta_jk
+    model = get_model(name)
+    point = model.point(*values)
+    fb = _small_basis(model, point)
+    H = dense(model.hamiltonian(point, fb))
+    ladders = [dense(b) for b in model.normal_mode_ladders(point, fb)]
+    freqs = model.normal_modes(point).frequencies
+    block = _inner_block(fb)
+    for j, (bj, w) in enumerate(zip(ladders, freqs)):
+        np.testing.assert_allclose(commutator(bj, H)[:, block], w * bj[:, block],
+                                   atol=1e-12)
+        for k, bk in enumerate(ladders):
+            np.testing.assert_allclose(commutator(bj, dagger(bk))[:, block],
+                                       float(j == k) * np.eye(fb.dim)[:, block],
+                                       atol=1e-12)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_ladders_annihilate_the_ground_state(name):
+    model = get_model(name)
+    point = model.point(*PROBE[name])
+    fb = model.default_basis(point, 30 if model.dof == 2 else 60)
+    ground = fock.eigh(model.hamiltonian(point, fb)).vector(0).astype(complex)
+    for b in model.normal_mode_ladders(point, fb):
+        assert np.linalg.norm(b.apply(ground)) <= 1e-10
+
+
+def test_form_contradicting_declared_modes_raises():
+    class Detuned(GeneralizedOscillator):
+        def normal_modes(self, point):
+            (w,) = super().normal_modes(point).frequencies
+            return NormalModeData((w * (1 + 1e-8),))
+
+    model = Detuned()
+    point = model.point(*PROBE["gho"])
+    with pytest.raises(NumericalError, match="normal frequency"):
+        model.normal_mode_ladders(point, model.default_basis(point, 10))
 
 
 def test_gho_spectrum_unit():
@@ -132,7 +207,7 @@ def test_lin_coupled_mixing_diagonalizes():
         assert -math.pi / 4 < zeta < math.pi / 4
 
 
-@pytest.mark.parametrize("name", ALL_MODELS)
+@pytest.mark.parametrize("name", MODEL_NAMES)
 def test_closed_metric_symmetric_psd(name):
     model = get_model(name)
     point = model.point(*PROBE[name])
@@ -313,7 +388,7 @@ def test_lin_entropy_uses_vacuum_half_convention(C):
 
 
 def test_energy_closed_forms():
-    for name in ALL_MODELS:
+    for name in MODEL_NAMES:
         model = get_model(name)
         point = model.point(*PROBE[name])
         freqs = model.normal_modes(point).frequencies

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dense_reference import dense, spectral_sum
 from qgeom import gauss, qgt
 from qgeom.errors import DegeneracyError, StateTrackingError
-from qgeom.fock import Spectrum, eigh
+from qgeom.fock import Spectrum, eigh, quadratics
 from qgeom.models import get_model
 
 CUTOFF_1 = 60
@@ -336,7 +336,7 @@ def test_sym_deformation_operator_identity():
     point = model.point(1.3, 0.6)
     fb = model.default_basis(point, 8)
     ops = model.deformations(point, fb)
-    (q1, q2), _ = model.qp_operators(fb)
+    q1, q2 = quadratics(fb).qs
     w1, w2 = model.normal_modes(point).frequencies
     expected = 0.5 * (w2 * w2 - w1 * w1) * (q1 - q2) + w1 * w1 * q1
     np.testing.assert_allclose(dense(ops["q1"]), dense(expected), atol=1e-12)
@@ -369,6 +369,22 @@ def test_overlap_track_matches_energy_order_single_mode():
     assert abs(by_overlap.energy - full.energies[by_energy.index]) <= 1e-10
     assert abs(np.vdot(by_overlap.vector, full.vector(by_energy.index))) >= 1 - 1e-10
     assert by_overlap.overlap > 0.999
+
+
+@pytest.mark.parametrize("values", [(1.5, 2.0, 0.9, 1.0), (2.0, 1.0, 0.5, 1.0)])
+@pytest.mark.parametrize("n", [1, 2])
+def test_overlap_track_finds_the_energy_level_with_a_linear_term(values, n):
+    # the normal-mode ladder of gho-linear lowers about the shifted minimum,
+    # so the raised ground state is the n-th level itself
+    model = get_model("gho-linear")
+    point = model.point(*values)
+    fb = model.default_basis(point, CUTOFF_1)
+    full = eigh(model.hamiltonian(point, fb))
+    tracked = qgt.select_state(
+        model, point, qgt.StateSelector((n,), resolution="overlap-track"), fb)
+    assert tracked.overlap >= 1 - 1e-10
+    assert abs(np.vdot(tracked.vector, full.vector(n))) >= 1 - 1e-10
+    assert abs(tracked.energy - full.energies[n]) <= 1e-10
 
 
 def _seeded_point(model, seed):
