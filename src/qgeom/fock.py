@@ -14,6 +14,8 @@ at cutoff 200. An operator without q_a or p_a terms commutes with the parity
 (-1)^(n_1 + ... + n_N), and a window may solve one parity sector alone: half
 the rows and about half the bandwidth, so a quarter of the band (32 MB at
 cutoff 200).
+scipy is imported by the first eigensolve, not with this module, so the
+closed-form and geometry layers run without loading it.
 Units: hbar = 1; a mode with basis frequency w_b has q = (a + a^dag)/sqrt(2 w_b)
 and p = i sqrt(w_b/2) (a^dag - a).
 """
@@ -26,7 +28,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, DegeneracyError, NumericalError
 
@@ -527,6 +528,7 @@ def _lowest_levels(pattern: Pattern, data: np.ndarray, k: int):
     exists. ARPACK then finds the k largest 1/(E - sigma), each step one
     band solve.
     """
+    import scipy.linalg
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     n = pattern.dim
@@ -592,6 +594,8 @@ def eigh(op, lowest: int | None = None, parity: int | None = None) -> Spectrum:
     if lowest is not None and lowest < pattern.dim - 1:
         energies, states = _lowest_levels(pattern, data, lowest)
     else:
+        import scipy.linalg
+
         # Fortran order lets LAPACK overwrite the matrix with the eigenvectors
         dense = np.zeros((pattern.dim, pattern.dim), dtype=data.dtype, order="F")
         dense[pattern.rows, pattern.cols] = data

@@ -69,12 +69,17 @@ def metric_field(model: Model, which: str, qn: Sequence[int],
     which: a closed-form quantity name evaluating to a square matrix
     ("metric", "metric_z1", "phase_metric", "phase_metric_reduced", ...).
     coords picks which parameters vary (default: all of them); the rest are
-    pinned by `fixed`. For phase-space metrics reinterpreted as parameter-space
+    pinned by `fixed`. A name in either that the model does not have raises
+    ValueError. For phase-space metrics reinterpreted as parameter-space
     metrics the matrix dimension must match len(coords).
     """
     names = model.param_names
     coords = tuple(coords) if coords is not None else names
     fixed = dict(fixed or {})
+    unknown = [n for n in (*coords, *fixed) if n not in names]
+    if unknown:
+        raise ValueError(f"model {model.name} has no parameters {unknown}; "
+                         f"its parameters are {list(names)}")
     missing = [n for n in names if n not in coords and n not in fixed]
     if missing:
         raise ValueError(f"fix the non-coordinate parameters {missing}")

@@ -129,6 +129,9 @@ def select_state(model: Model, point: ParamPoint, sel: StateSelector,
     and counts only its levels; an odd target also takes the even sector's
     ground state, which it is raised from. Overlap tracking first tries the
     level nearest the analytic energy E_0 + w.n (see `_best_match`).
+    A level selected from its own window must be nondegenerate over that
+    window (DegeneracyError otherwise). A degenerate partner lies at or
+    below the target, so the window always holds it.
     """
     qn = model._check_qn(sel.quantum_numbers)
     tracking = sel.mode(model) == "overlap-track"
@@ -137,7 +140,8 @@ def select_state(model: Model, point: ParamPoint, sel: StateSelector,
     if tracking:
         freqs = np.asarray(model.normal_modes(point).frequencies)
     spec = ground = spectrum
-    if spec is None:
+    windowed = spectrum is None
+    if windowed:
         H = model.hamiltonian(point, fb)
         if not tracking:
             spec = eigh(H, lowest=qn[0] + 3)
@@ -151,6 +155,8 @@ def select_state(model: Model, point: ParamPoint, sel: StateSelector,
         idx = qn[0]
         if idx >= spec.dim:
             raise ValueError(f"state {idx} beyond basis dimension {spec.dim}")
+        if windowed:
+            spec.check_nondegenerate(idx)
         return SelectedState(idx, float(spec.energies[idx]), spec.vector(idx), 1.0)
     ladders = model.normal_mode_ladders(point, fb)
     target = ground.vector(0).astype(complex)
@@ -165,6 +171,8 @@ def select_state(model: Model, point: ParamPoint, sel: StateSelector,
     expected = ground.energies[0] + freqs @ np.asarray(qn)
     candidate = int(np.argmin(np.abs(spec.energies - expected)))
     idx, mag = _best_match(spec, target, candidate, sel.min_overlap)
+    if windowed:  # a degenerate level also scatters the overlap: report the cause
+        spec.check_nondegenerate(idx)
     if mag < sel.min_overlap:
         raise StateTrackingError(
             f"best overlap {mag:.3f} with the ({', '.join(map(str, qn))}) "

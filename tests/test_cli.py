@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qgeom import __version__
@@ -45,12 +46,17 @@ def test_eval_domain_message(capsys):
     assert "XZ - Y^2" in captured.err
 
 
-def _run_cli(*args):
+def _run_python(*args):
+    """A fresh interpreter that imports this checkout's qgeom."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "qgeom", *args], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def _run_cli(*args):
+    return _run_python("-m", "qgeom", *args)
 
 
 @pytest.mark.parametrize("args", [
@@ -431,3 +437,84 @@ def test_python_dash_m_runs_the_cli():
     done = _run_cli("--version")
     assert done.returncode == 0
     assert done.stdout.strip() == __version__
+
+
+@pytest.mark.parametrize("n", ["1,0", "0,1", "1,1"])
+def test_entangle_degenerate_window_exit_3(capsys, n):
+    # at k1 = 0 the two normal modes share w = sqrt(k0)
+    assert main(["entangle", "--model", "sym-coupled", "--point", "1,0",
+                 "--n", n, CUT, "20"]) == 3
+    assert "of another level" in capsys.readouterr().err
+
+
+def test_sweep_writes_an_error_at_the_degenerate_point(tmp_path):
+    out_file = tmp_path / "sweep.csv"
+    assert main(["sweep", "--model", "sym-coupled", "--axis", "k1=0:0.2:3",
+                 "--fix", "k0=1", "--n", "1,0", CUT, "20",
+                 "--quantities", "purity,entropy", "--out", str(out_file)]) == 0
+    _, rows = parse_csv(out_file.read_text())
+    assert [float(r["point[k1]"]) for r in rows] == [0.0, 0.1, 0.2]
+    assert rows[0]["error"].startswith("DegeneracyError")
+    assert rows[0]["purity"] == ""
+    for row in rows[1:]:
+        assert row["error"] == ""
+        assert 0 < float(row["purity"]) < 1
+
+
+@pytest.mark.parametrize("args, unknown", [
+    (("--model", "gho", "--point", "2,0.5,1", "--which", "param-z1"), "['W']"),
+    (("--model", "sym-coupled", "--point", "1,0.8", "--which", "phase:q1p1"),
+     "['q', '1', 'p', '1']"),
+])
+def test_curvature_unknown_coordinates_exit_2(capsys, args, unknown):
+    assert main(["curvature", *args]) == 2
+    err = capsys.readouterr().err
+    assert f"has no parameters {unknown}" in err
+    assert "its parameters are" in err
+
+
+COLD_START = """
+import json, sys
+import numpy as np
+import qgeom
+from qgeom import cli, fock, gauss, geometry, get_model
+
+field = geometry.metric_field(get_model("lin-coupled"), "metric", (0, 0))
+geometry.ricci_scalar(field, np.array([1.0, 2.0, 1.0]))
+cov = gauss.CovarianceMatrix(2, np.diag([0.6, 0.5, 0.6, 0.5]))
+gauss.von_neumann_entropy(gauss.reduce(cov, [0]))
+assert cli.main(["curvature", "--model", "lin-coupled", "--point", "1,2,1",
+                 "--out", sys.argv[2]]) == 0
+assert cli.main(["sweep", "--model", "gho-linear", "--axis", "Y=-0.4:0.4:3",
+                 "--fix", "W=1", "--fix", "X=1", "--fix", "Z=1", "--n", "1",
+                 "--quantities", "det_metric,scalar", "--out", sys.argv[2]]) == 0
+cold = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+model = get_model("gho")
+op = model.hamiltonian(model.point(2.0, 0.5, 1.0), fock.basis(1, 20))
+if sys.argv[1] == "sparse":
+    import scipy.sparse
+    p = op.monomials.pattern
+    op = scipy.sparse.coo_matrix((op.data(), (p.rows, p.cols)), shape=(p.dim, p.dim))
+before = "scipy.linalg" in sys.modules
+lowest = 3 if sys.argv[1] == "window" else None
+energies = fock.eigh(op, lowest=lowest).energies
+print(json.dumps({"cold": cold, "before": before,
+                  "after": "scipy.linalg" in sys.modules,
+                  "energies": energies.tolist()}))
+"""
+
+
+@pytest.mark.parametrize("kind", ["operator", "window", "sparse"])
+def test_scipy_loads_on_the_first_eigensolve(tmp_path, kind):
+    # a fresh process: this one has loaded scipy long ago
+    done = _run_python("-c", COLD_START, kind, str(tmp_path / "out.csv"))
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["cold"] == []  # import, geometry, gauss, curvature, sweep
+    assert not report["before"] and report["after"]
+    from qgeom import fock, get_model
+    model = get_model("gho")
+    op = model.hamiltonian(model.point(2.0, 0.5, 1.0), fock.basis(1, 20))
+    expected = fock.eigh(op, lowest=3 if kind == "window" else None).energies
+    np.testing.assert_allclose(report["energies"], expected, rtol=1e-13, atol=0)

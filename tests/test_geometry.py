@@ -347,3 +347,16 @@ def test_calls_share_no_table():
     assert first == pytest.approx(2.0, abs=1e-7)
     assert second == pytest.approx(1.0, abs=1e-7)
     assert geometry.scalar_2d_direct(f, x) == pytest.approx(direct / 2, abs=1e-7)
+
+
+@pytest.mark.parametrize("coords, fixed, unknown", [
+    (("A", "B", "Z"), {"C": 1.0}, "['Z']"),
+    (("A", "B"), {"C": 1.0, "k1": 0.5}, "['k1']"),
+])
+def test_metric_field_rejects_names_the_model_lacks(coords, fixed, unknown):
+    # an unknown name used to vanish from the point without a word
+    with pytest.raises(ValueError) as exc:
+        geometry.metric_field(get_model("lin-coupled"), "metric", (0, 0),
+                              coords=coords, fixed=fixed)
+    assert unknown in str(exc.value)
+    assert "['A', 'B', 'C']" in str(exc.value)

@@ -316,6 +316,38 @@ def test_sym_decoupled_limit_parameter_block():
     np.testing.assert_allclose(res.parameter_block(model), closed, atol=1e-8)
 
 
+@pytest.mark.parametrize("qn", [(1, 0), (0, 1), (1, 1)])
+def test_window_selection_refuses_a_degenerate_level(qn):
+    # at k1 = 0 both normal modes have w = sqrt(k0): (1,0) and (0,1) name one
+    # degenerate pair, and (1,1) shares its level with (2,0) and (0,2)
+    model = get_model("sym-coupled")
+    point = model.point(1.0, 0.0)
+    fb = model.default_basis(point, 20)
+    with pytest.raises(DegeneracyError):
+        qgt.select_state(model, point, qgt.selector(*qn), fb)
+    with pytest.raises(DegeneracyError):
+        qgt.covariance_from_state(model, point, qgt.selector(*qn), fb)
+
+
+def test_window_selection_keeps_the_nondegenerate_ground_state_at_k1_zero():
+    model = get_model("sym-coupled")
+    point = model.point(1.0, 0.0)
+    fb = model.default_basis(point, 20)
+    cov = qgt.covariance_from_state(model, point, qgt.selector(0, 0), fb)
+    assert gauss.purity(gauss.reduce(cov, [0])) == pytest.approx(
+        model.closed_form("purity", point, (0, 0)), abs=1e-10)
+
+
+def test_window_selection_passes_a_nondegenerate_excited_level():
+    # near k1 = 0 the pair splits: (1,0) and (0,1) are selected again
+    model = get_model("sym-coupled")
+    point = model.point(1.0, 0.1)
+    fb = model.default_basis(point, 20)
+    for qn in ((1, 0), (0, 1), (1, 1)):
+        state = qgt.select_state(model, point, qgt.selector(*qn), fb)
+        assert state.overlap > 0.9
+
+
 def test_perturbative_example_values_frozen():
     # at (X, Y, Z) = (2, 0, 1), n = 0: Re G_XX = Z^2/(32 w^4) = 1/128 and the
     # imaginary phase block is Omega/2
