@@ -240,12 +240,10 @@ class Writer:
         self.rows.append(row)
 
     def _columns(self) -> list[str]:
-        cols: list[str] = []
-        for row in self.rows:
-            for key in row:
-                if key not in cols:
-                    cols.append(key)
-        return cols
+        """Columns in order of first appearance, but `error` always last, so
+        a job's header does not depend on which point fails."""
+        cols = dict.fromkeys(key for row in self.rows for key in row)
+        return sorted(cols, key=lambda col: col == "error")
 
     def _render_csv(self) -> str:
         buf = io.StringIO()
@@ -480,7 +478,14 @@ def cmd_curvature(cfg: JobConfig) -> int:
     field_coords = coords if coords is not None else model.param_names
     f = geometry.metric_field(model, quantity, qn, coords=field_coords, fixed=fixed)
     x = np.array([point[name] for name in field_coords])
-    report = geometry.curvature_report(f, x)
+    try:
+        report = geometry.curvature_report(f, x)
+    except ValueError as exc:
+        if quantity != "phase_metric":
+            raise
+        raise UsageError(f"{exc}; use --which phase:XY to read the phase metric "
+                         "on two one-letter parameters, or --which phase-reduced "
+                         "for a two-mode model") from None
     meta = {"command": "curvature", "model": model.name, "which": which,
             "point": list(point.values), "n": list(qn), "version": __version__}
     writer = Writer(cfg, meta)

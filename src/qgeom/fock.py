@@ -465,10 +465,13 @@ class Spectrum:
         return float(gaps.min())
 
     def check_nondegenerate(self, k: int, upto: int | None = None,
-                            rtol: float = DEGENERACY_RTOL) -> None:
+                            rtol: float = DEGENERACY_RTOL,
+                            label: str | None = None) -> None:
+        """Raise DegeneracyError if level k has a neighbour within rtol *
+        max|E|; label names the level in the message (default "state k")."""
         if self.min_gap(k, upto) < rtol * self.gap_scale():
             raise DegeneracyError(
-                f"state {k} (E={self.energies[k]:.6g}) sits within "
+                f"{label or f'state {k}'} (E={self.energies[k]:.6g}) sits within "
                 f"{rtol:.0e} * max|E| of another level"
             )
 

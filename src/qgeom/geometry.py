@@ -11,18 +11,21 @@ Scalar outputs use Richardson (h, h/2) extrapolation; curvature stacks two
 FD derivatives, so the cancellation matters.
 
 Each curvature call (`ricci_scalar`, `curvature_report`, `scalar_2d_direct`,
-`riemann`, `christoffel`, `metric_derivatives`) resolves its FD steps once
-and keeps one table of metric values, keyed by the exact bytes of the point,
-with each center's inverse metric. It hands both to the private `_riemann`,
-`_christoffel` and `_metric_derivatives` it nests, so each distinct stencil
-point is evaluated once. The table is dropped when the call returns.
+`riemann`, `christoffel`, `metric_derivatives`) works in three steps. It
+enumerates its whole stencil up front: the Christoffel centers x and
+x +- h_k e_k at each Richardson step, and their neighbours, deduplicated by
+the exact bytes of each point. It calls the field once per distinct point,
+in that order, and checks the (P, d, d) stack of values once. It then runs
+the FD algebra as array operations over all centers of a step at once: one
+metric-derivative stack, one equilibrated `cond` and `inv`, one einsum for
+the Christoffel symbols. Nothing is kept after the call returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,20 +48,37 @@ FLATNESS_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class MetricField:
-    """A symmetric-matrix-valued field over a dim-dimensional chart."""
+    """A symmetric-matrix-valued field over a dim-dimensional chart.
+
+    name and coords only label errors: the quantity the field evaluates and
+    the names of its coordinates.
+    """
 
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
     step: np.ndarray | None = None  # per-coordinate default FD steps
+    name: str = "metric"
+    coords: tuple[str, ...] = ()
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        g = np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
-        if g.shape != (self.dim, self.dim):
-            raise ValueError(f"metric eval returned shape {g.shape}")
-        scale = max(np.abs(g).max(), 1.0)
-        if np.abs(g - g.T).max() > SYMMETRY_ATOL * scale:
-            raise NumericalError("metric field returned a non-symmetric matrix")
-        return 0.5 * (g + g.T)
+        return _evaluate(self, [np.asarray(x, dtype=float)])[0]
+
+
+def _evaluate(field: MetricField, points: Sequence[np.ndarray]) -> np.ndarray:
+    """The symmetrized (P, d, d) stack of field values, one call per point."""
+    values = [np.asarray(field.func(p), dtype=float) for p in points]
+    for g in values:
+        if g.shape != (field.dim, field.dim):
+            size = "x".join(map(str, g.shape)) if g.ndim == 2 else f"of shape {g.shape}"
+            names = f" ({', '.join(field.coords)})" if field.coords else ""
+            raise ValueError(f"{field.name} is {size} but the field has "
+                             f"{field.dim} coordinates{names}")
+    g = np.stack(values)
+    gt = np.swapaxes(g, 1, 2)
+    scale = np.maximum(np.abs(g).max(axis=(1, 2)), 1.0)
+    if np.any(np.abs(g - gt).max(axis=(1, 2)) > SYMMETRY_ATOL * scale):
+        raise NumericalError("metric field returned a non-symmetric matrix")
+    return 0.5 * (g + gt)
 
 
 def metric_field(model: Model, which: str, qn: Sequence[int],
@@ -70,8 +90,11 @@ def metric_field(model: Model, which: str, qn: Sequence[int],
     ("metric", "metric_z1", "phase_metric", "phase_metric_reduced", ...).
     coords picks which parameters vary (default: all of them); the rest are
     pinned by `fixed`. A name in either that the model does not have raises
-    ValueError. For phase-space metrics reinterpreted as parameter-space
-    metrics the matrix dimension must match len(coords).
+    ValueError, as do an unknown quantity and bad quantum numbers, all
+    checked here once; each evaluation still validates its point, so a
+    stencil point outside the model's domain raises DomainError. For
+    phase-space metrics reinterpreted as parameter-space metrics the matrix
+    dimension must match len(coords) (ValueError at evaluation otherwise).
     """
     names = model.param_names
     coords = tuple(coords) if coords is not None else names
@@ -83,15 +106,17 @@ def metric_field(model: Model, which: str, qn: Sequence[int],
     missing = [n for n in names if n not in coords and n not in fixed]
     if missing:
         raise ValueError(f"fix the non-coordinate parameters {missing}")
-    qn = tuple(qn)
+    qn = model._check_qn(qn)
+    evaluate = model.closed_method(which)
 
     def func(x: np.ndarray) -> np.ndarray:
         values = dict(fixed)
         values.update(zip(coords, x))
         point = ParamPoint(names, tuple(values[n] for n in names))
-        return np.asarray(model.closed_form(which, point, qn), dtype=float)
+        model.validate(point)
+        return np.asarray(evaluate(point, qn), dtype=float)
 
-    return MetricField(len(coords), func)
+    return MetricField(len(coords), func, name=which, coords=coords)
 
 
 def chart_field(field: MetricField, center: np.ndarray,
@@ -145,7 +170,8 @@ def chart_field(field: MetricField, center: np.ndarray,
         j = jac(u)
         return field(to_x(u)) * np.outer(j, j)
 
-    return MetricField(field.dim, func), np.zeros(field.dim)
+    return (MetricField(field.dim, func, name=field.name, coords=field.coords),
+            np.zeros(field.dim))
 
 
 def default_steps(x: np.ndarray, step=None) -> np.ndarray:
@@ -166,118 +192,161 @@ def default_steps(x: np.ndarray, step=None) -> np.ndarray:
     return arr
 
 
-class _Table:
-    """One curvature call's metric values and inverses, keyed by point bytes.
+def _shifted(y: np.ndarray, hh: np.ndarray) -> np.ndarray:
+    """(..., 2d, d): y + hh_0 e_0, y - hh_0 e_0, y + hh_1 e_1, ... for each y."""
+    k = np.arange(len(hh))
+    out = np.repeat(y[..., None, :], 2 * len(hh), axis=-2)
+    out[..., 2 * k, k] += hh
+    out[..., 2 * k + 1, k] -= hh
+    return out
 
-    Exact bytes, not closeness: x + h - h that does not round back to x is
-    its own point, so every value is the one the bare field returns there.
+
+class _Centers(NamedTuple):
+    """Stencil rows of C derivative centers at one FD step."""
+
+    own: np.ndarray    # (C,) the center itself
+    plus: np.ndarray   # (C, d) center + hh_k e_k
+    minus: np.ndarray  # (C, d) center - hh_k e_k
+    hh: np.ndarray
+
+
+class _Stencil:
+    """One curvature call's distinct points, in the order they are first used.
+
+    Points are keyed by their exact bytes, not by closeness: x + h - h that
+    does not round back to x is its own point, so every value is the one the
+    bare field returns there. `evaluate` then calls the field once per point
+    and the FD algebra indexes the resulting (P, d, d) stack.
     """
 
-    def __init__(self, field: MetricField):
-        self.field = field
-        self.dim = field.dim
-        self.values: dict[bytes, np.ndarray] = {}
-        self.inverses: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+    def __init__(self):
+        self._rows: dict[bytes, int] = {}
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        key = x.tobytes()
-        g = self.values.get(key)
-        if g is None:
-            g = self.values[key] = self.field(x)
-        return g
+    def rows(self, points: np.ndarray) -> np.ndarray:
+        """Stack rows of points (..., d), numbering new ones in order."""
+        raw = np.ascontiguousarray(points, dtype=float).tobytes()
+        width = 8 * points.shape[-1]
+        rows = self._rows
+        index = [rows.setdefault(raw[i:i + width], len(rows))
+                 for i in range(0, len(raw), width)]
+        return np.array(index).reshape(points.shape[:-1])
 
-    def metric_and_inverse(self, x: np.ndarray):
-        """g and its inverse, via diagonal equilibration.
+    def centers(self, centers: np.ndarray, hh: np.ndarray) -> _Centers:
+        """Each center (C, d) with its neighbours center +- hh_k e_k."""
+        rows = self.rows(np.concatenate([centers[:, None], _shifted(centers, hh)], axis=1))
+        return _Centers(rows[:, 0], rows[:, 1::2], rows[:, 2::2], hh)
 
-        Metrics near a phase transition are badly scaled (entries spanning
-        many decades) without being singular; the conditioning test and the
-        inversion run on the equilibrated matrix D g D with
-        D = diag(g)^(-1/2). The limit admits the near-transition probes while
-        rejecting exactly singular metrics (e.g. the full 3x3 oscillator
-        parameter metric, det = 0).
-        """
-        key = x.tobytes()
-        if key not in self.inverses:
-            g = self(x)
-            d = np.sqrt(np.abs(np.diag(g)))
-            if np.any(d == 0):
-                raise NumericalError(f"metric has a vanishing diagonal entry at {x.tolist()}")
-            scaled = g / np.outer(d, d)
-            if np.linalg.cond(scaled) > COND_LIMIT:
-                raise NumericalError(f"metric is numerically singular at {x.tolist()}")
-            self.inverses[key] = g, np.linalg.inv(scaled) / np.outer(d, d)
-        return self.inverses[key]
+    def riemann_centers(self, x: np.ndarray, hh: np.ndarray) -> _Centers:
+        """x + hh_k e_k, x - hh_k e_k for each k, then x itself."""
+        return self.centers(np.concatenate([_shifted(x, hh), x[None]]), hh)
+
+    def evaluate(self, field: MetricField) -> np.ndarray:
+        self.points = np.frombuffer(b"".join(self._rows)).reshape(len(self._rows), -1).copy()
+        self.values = _evaluate(field, self.points)
+        return self.values
 
 
-def _resolved(field: MetricField, x: np.ndarray, step):
-    """(fresh table, x as floats, resolved steps) for one top-level call."""
-    x = np.asarray(x, dtype=float)
-    return _Table(field), x, default_steps(x, step if step is not None else field.step)
+def _derivatives(g: np.ndarray, plus: np.ndarray, minus: np.ndarray,
+                 hh: np.ndarray) -> np.ndarray:
+    """dg[..., k, i, j] = d_k g_ij by central differences over stacked rows."""
+    return (g[plus] - g[minus]) / (2 * hh)[:, None, None]
 
 
-def _metric_derivatives(table: _Table, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    dg = np.empty((table.dim, table.dim, table.dim))
-    for k in range(table.dim):
-        xp = x.copy(); xp[k] += h[k]
-        xm = x.copy(); xm[k] -= h[k]
-        dg[k] = (table(xp) - table(xm)) / (2 * h[k])
-    return dg
+def _inverses(st: _Stencil, rows: np.ndarray) -> np.ndarray:
+    """Inverse metrics at the given rows, via diagonal equilibration.
+
+    Metrics near a phase transition are badly scaled (entries spanning many
+    decades) without being singular; the conditioning test and the
+    inversion run on the equilibrated matrix D g D with D = diag(g)^(-1/2).
+    The limit admits the near-transition probes while rejecting exactly
+    singular metrics (e.g. the full 3x3 oscillator parameter metric,
+    det = 0). The first failing row, in order, is the one reported.
+    """
+    g = st.values[rows]
+    d = np.sqrt(np.abs(np.diagonal(g, axis1=1, axis2=2)))
+    vanishing = np.any(d == 0, axis=1)
+    d[vanishing] = 1.0  # keeps the batch finite; those rows raise below
+    dd = d[:, :, None] * d[:, None, :]
+    scaled = g / dd
+    failed = vanishing | (np.linalg.cond(scaled) > COND_LIMIT)
+    if failed.any():
+        c = int(np.argmax(failed))
+        at = st.points[rows[c]].tolist()
+        if vanishing[c]:
+            raise NumericalError(f"metric has a vanishing diagonal entry at {at}")
+        raise NumericalError(f"metric is numerically singular at {at}")
+    return np.linalg.inv(scaled) / dd
 
 
-def _christoffel(table: _Table, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    _, ginv = table.metric_and_inverse(x)
-    dg = _metric_derivatives(table, x, h)
+def _christoffel(st: _Stencil, c: _Centers) -> tuple[np.ndarray, np.ndarray]:
+    """(Gamma[c, i, j, k] = Gamma^i_jk, inverse metric) at every center."""
+    ginv = _inverses(st, c.own)
+    dg = _derivatives(st.values, c.plus, c.minus, c.hh)
     # Gamma^i_jk = 1/2 g^il (d_k g_lj + d_j g_lk - d_l g_jk)
-    braces = np.einsum('klj->ljk', dg) + np.einsum('jlk->ljk', dg) - dg
-    return 0.5 * np.einsum('il,ljk->ijk', ginv, braces)
+    braces = np.einsum('cklj->cljk', dg) + np.einsum('cjlk->cljk', dg) - dg
+    return 0.5 * np.einsum('cil,cljk->cijk', ginv, braces), ginv
 
 
-def _riemann(table: _Table, x: np.ndarray,
-             h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(R^i_jkl, Gamma^i_jk at x): the center Christoffel symbols come along."""
-    d = table.dim
-    dgam = np.empty((d, d, d, d))  # dgam[k, i, j, l] = d_k Gamma^i_jl
-    for k in range(d):
-        xp = x.copy(); xp[k] += h[k]
-        xm = x.copy(); xm[k] -= h[k]
-        dgam[k] = (_christoffel(table, xp, h) - _christoffel(table, xm, h)) / (2 * h[k])
-    gam = _christoffel(table, x, h)
+def _riemann(st: _Stencil, c: _Centers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R^i_jkl, Gamma^i_jk, g^ij) at x, for centers from `riemann_centers`."""
+    gam, ginv = _christoffel(st, c)
+    dim = len(c.hh)
+    # dgam[k, i, j, l] = d_k Gamma^i_jl
+    dgam = (gam[0:2 * dim:2] - gam[1:2 * dim:2]) / (2 * c.hh)[:, None, None, None]
+    gam = gam[-1]
     term1 = np.einsum('kilj->ijkl', dgam)
     term2 = np.einsum('likj->ijkl', dgam)
     term3 = np.einsum('slj,iks->ijkl', gam, gam)
     term4 = np.einsum('skj,ils->ijkl', gam, gam)
-    return term1 - term2 + term3 - term4, gam
+    return term1 - term2 + term3 - term4, gam, ginv[-1]
+
+
+def _resolved(field: MetricField, x: np.ndarray, step) -> tuple[np.ndarray, np.ndarray]:
+    """(x as floats, resolved steps) for one top-level call."""
+    x = np.asarray(x, dtype=float)
+    return x, default_steps(x, step if step is not None else field.step)
 
 
 def metric_derivatives(field: MetricField, x: np.ndarray,
                        step=None) -> np.ndarray:
     """dg[k, i, j] = d_k g_ij by central differences."""
-    return _metric_derivatives(*_resolved(field, x, step))
+    x, h = _resolved(field, x, step)
+    st = _Stencil()
+    rows = st.rows(_shifted(x, h))
+    return _derivatives(st.evaluate(field), rows[0::2], rows[1::2], h)
 
 
 def christoffel(field: MetricField, x: np.ndarray, step=None) -> np.ndarray:
     """Gamma[i, j, k] = Gamma^i_jk; symmetric in (j, k) by construction."""
-    return _christoffel(*_resolved(field, x, step))
+    x, h = _resolved(field, x, step)
+    st = _Stencil()
+    c = st.centers(x[None], h)
+    st.evaluate(field)
+    return _christoffel(st, c)[0][0]
 
 
 def riemann(field: MetricField, x: np.ndarray, step=None) -> np.ndarray:
     """R[i, j, k, l] = R^i_jkl from FD derivatives of the Christoffel field."""
-    return _riemann(*_resolved(field, x, step))[0]
+    x, h = _resolved(field, x, step)
+    st = _Stencil()
+    c = st.riemann_centers(x, h)
+    st.evaluate(field)
+    return _riemann(st, c)[0]
 
 
 def ricci_scalar(field: MetricField, x: np.ndarray,
                  step=None) -> tuple[np.ndarray, float]:
     """(Ricci tensor, scalar R); the scalar gets Richardson extrapolation."""
-    table, x, h = _resolved(field, x, step)
-
-    def once(hh):
-        r4, _ = _riemann(table, x, hh)
+    x, h = _resolved(field, x, step)
+    st = _Stencil()
+    steps = [st.riemann_centers(x, hh) for hh in (h, h / 2)]
+    st.evaluate(field)
+    out = []
+    for c in steps:
+        r4, _, ginv = _riemann(st, c)
         ric = np.einsum('kjkl->jl', r4)
-        _, ginv = table.metric_and_inverse(x)
-        return ric, float(np.einsum('jl,jl->', ginv, ric))
-
-    ric, scalar = once(h)
-    ric2, scalar2 = once(h / 2)
+        out.append((ric, float(np.einsum('jl,jl->', ginv, ric))))
+    (ric, scalar), (ric2, scalar2) = out
     return (4 * ric2 - ric) / 3, (4 * scalar2 - scalar) / 3
 
 
@@ -300,13 +369,16 @@ class CurvatureReport:
 
 def curvature_report(field: MetricField, x: np.ndarray,
                      step=None) -> CurvatureReport:
-    table, x, h = _resolved(field, x, step)
-    r4_half, gam_half = _riemann(table, x, h / 2)
-    r4_full, gam_full = _riemann(table, x, h)
+    x, h = _resolved(field, x, step)
+    st = _Stencil()
+    half, full = st.riemann_centers(x, h / 2), st.riemann_centers(x, h)
+    st.evaluate(field)
+    r4_half, gam_half, ginv = _riemann(st, half)
+    r4_full, gam_full, _ = _riemann(st, full)
     gam = (4 * gam_half - gam_full) / 3
     r4 = (4 * r4_half - r4_full) / 3
     ric = np.einsum('kjkl->jl', r4)
-    g, ginv = table.metric_and_inverse(x)
+    g = st.values[half.own[-1]]
     scalar = float(np.einsum('jl,jl->', ginv, ric))
     thresh = flatness_threshold(g, x)
     return CurvatureReport(gam, r4, ric, scalar,
@@ -318,37 +390,42 @@ def scalar_2d_direct(field: MetricField, x: np.ndarray, step=None) -> float:
 
     R = (1/sqrt g) { d_1 [ (1/sqrt g)((g12/g11) d_2 g11 - d_1 g22) ]
                    + d_2 [ (1/sqrt g)(2 d_1 g12 - d_2 g11 - (g12/g11) d_1 g11) ] }
-    with g = det(g_ij); requires g11 bounded away from zero.
+    with g = det(g_ij); requires g11 bounded away from zero. The two
+    brackets are evaluated at the four centers x +- hh_k e_k at once.
     """
     if field.dim != 2:
         raise ValueError("the direct expression is for 2D metrics only")
-    table, x, h = _resolved(field, x, step)
+    x, h = _resolved(field, x, step)
+    st = _Stencil()
+    st.rows(x)
+    steps = [st.centers(_shifted(x, hh), hh) for hh in (h, h / 2)]
+    g = st.evaluate(field)
+    # `v ** 2` on a NumPy scalar is C pow, which can round differently from
+    # the array square in the last bit; determinants are formed from scalars
+    # so the bits match the per-point recursion in tests/geometry_reference.py
+    det = g[0, 0, 0] * g[0, 1, 1] - g[0, 0, 1] ** 2
 
-    def brackets(y: np.ndarray, hh: np.ndarray) -> np.ndarray:
-        g = table(y)
-        if abs(g[0, 0]) < 1e-14 * max(np.abs(g).max(), 1.0):
-            raise NumericalError("g11 vanishes; direct 2D expression inapplicable")
-        det = g[0, 0] * g[1, 1] - g[0, 1] ** 2
-        if det <= 0:
+    def once(c: _Centers) -> float:
+        gc = g[c.own]
+        dets = np.array([m[0, 0] * m[1, 1] - m[0, 1] ** 2 for m in gc])
+        g11, g12 = gc[:, 0, 0], gc[:, 0, 1]
+        vanishing = np.abs(g11) < 1e-14 * np.maximum(np.abs(gc).max(axis=(1, 2)), 1.0)
+        failed = vanishing | (dets <= 0)
+        if failed.any():
+            if vanishing[np.argmax(failed)]:
+                raise NumericalError("g11 vanishes; direct 2D expression inapplicable")
             raise NumericalError("metric determinant must be positive")
-        dg = _metric_derivatives(table, y, hh)
-        root = math.sqrt(det)
-        b1 = (g[0, 1] / g[0, 0] * dg[1, 0, 0] - dg[0, 1, 1]) / root
-        b2 = (2 * dg[0, 0, 1] - dg[1, 0, 0] - g[0, 1] / g[0, 0] * dg[0, 0, 0]) / root
-        return np.array([b1, b2])
-
-    def once(hh: np.ndarray) -> float:
-        g = table(x)
-        det = g[0, 0] * g[1, 1] - g[0, 1] ** 2
+        dg = _derivatives(g, c.plus, c.minus, c.hh)
+        root = np.sqrt(dets)
+        brackets = ((g12 / g11 * dg[:, 1, 0, 0] - dg[:, 0, 1, 1]) / root,
+                    (2 * dg[:, 0, 0, 1] - dg[:, 1, 0, 0] - g12 / g11 * dg[:, 0, 0, 0]) / root)
         total = 0.0
         for k in range(2):
-            xp = x.copy(); xp[k] += hh[k]
-            xm = x.copy(); xm[k] -= hh[k]
-            total += (brackets(xp, hh)[k] - brackets(xm, hh)[k]) / (2 * hh[k])
+            total += (brackets[k][2 * k] - brackets[k][2 * k + 1]) / (2 * c.hh[k])
         return total / math.sqrt(det)
 
-    r = once(h)
-    return (4 * once(h / 2) - r) / 3
+    r = once(steps[0])
+    return (4 * once(steps[1]) - r) / 3
 
 
 def beltrami_residual(model: Model, point: ParamPoint, qn: Sequence[int],

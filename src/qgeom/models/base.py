@@ -192,6 +192,14 @@ class Model(ABC):
         """
         self.validate(point)
         qn = self._check_qn(qn)
+        return self.closed_method(quantity)(point, qn)
+
+    def closed_method(self, quantity: str):
+        """The bound method behind `closed_form(quantity, ...)`.
+
+        It takes (point, qn) and checks neither: callers that evaluate one
+        quantity many times resolve it once and validate each point.
+        """
         try:
             method = self._closed[quantity]
         except KeyError:
@@ -199,7 +207,7 @@ class Model(ABC):
                 f"model {self.name!r} has no closed form {quantity!r}; "
                 f"available: {', '.join(self.closed_quantities())}"
             ) from None
-        return getattr(self, method)(point, qn)
+        return getattr(self, method)
 
     def _check_qn(self, qn) -> tuple[int, ...]:
         if np.isscalar(qn):

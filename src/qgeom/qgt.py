@@ -130,10 +130,12 @@ def select_state(model: Model, point: ParamPoint, sel: StateSelector,
     ground state, which it is raised from. Overlap tracking first tries the
     level nearest the analytic energy E_0 + w.n (see `_best_match`).
     A level selected from its own window must be nondegenerate over that
-    window (DegeneracyError otherwise). A degenerate partner lies at or
-    below the target, so the window always holds it.
+    window (otherwise DegeneracyError, which names the quantum numbers). A
+    degenerate partner lies at or below the target, so the window always
+    holds it.
     """
     qn = model._check_qn(sel.quantum_numbers)
+    label = f"the ({', '.join(map(str, qn))}) state"
     tracking = sel.mode(model) == "overlap-track"
     if not tracking and model.dof != 1:
         raise ValueError("energy-order resolution is only safe for one mode")
@@ -156,7 +158,7 @@ def select_state(model: Model, point: ParamPoint, sel: StateSelector,
         if idx >= spec.dim:
             raise ValueError(f"state {idx} beyond basis dimension {spec.dim}")
         if windowed:
-            spec.check_nondegenerate(idx)
+            spec.check_nondegenerate(idx, label=label)
         return SelectedState(idx, float(spec.energies[idx]), spec.vector(idx), 1.0)
     ladders = model.normal_mode_ladders(point, fb)
     target = ground.vector(0).astype(complex)
@@ -172,7 +174,7 @@ def select_state(model: Model, point: ParamPoint, sel: StateSelector,
     candidate = int(np.argmin(np.abs(spec.energies - expected)))
     idx, mag = _best_match(spec, target, candidate, sel.min_overlap)
     if windowed:  # a degenerate level also scatters the overlap: report the cause
-        spec.check_nondegenerate(idx)
+        spec.check_nondegenerate(idx, label=label)
     if mag < sel.min_overlap:
         raise StateTrackingError(
             f"best overlap {mag:.3f} with the ({', '.join(map(str, qn))}) "

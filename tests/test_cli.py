@@ -444,7 +444,9 @@ def test_entangle_degenerate_window_exit_3(capsys, n):
     # at k1 = 0 the two normal modes share w = sqrt(k0)
     assert main(["entangle", "--model", "sym-coupled", "--point", "1,0",
                  "--n", n, CUT, "20"]) == 3
-    assert "of another level" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"the ({n.replace(',', ', ')}) state (E=" in err
+    assert "of another level" in err
 
 
 def test_sweep_writes_an_error_at_the_degenerate_point(tmp_path):
@@ -459,6 +461,25 @@ def test_sweep_writes_an_error_at_the_degenerate_point(tmp_path):
     for row in rows[1:]:
         assert row["error"] == ""
         assert 0 < float(row["purity"]) < 1
+
+
+@pytest.mark.parametrize("axis", ["k1=0:0.2:3", "k1=0.2:0:3"])
+def test_sweep_header_does_not_depend_on_the_failing_point(tmp_path, axis):
+    # the degenerate k1 = 0 point comes first, then last: error stays last
+    out_file = tmp_path / "sweep.csv"
+    assert main(["sweep", "--model", "sym-coupled", "--axis", axis,
+                 "--fix", "k0=1", "--n", "1,0", CUT, "20", "--no-header-timestamp",
+                 "--quantities", "purity,entropy", "--out", str(out_file)]) == 0
+    header = out_file.read_text().splitlines()[0]
+    assert header == "point[k0],point[k1],purity,entropy,error"
+
+
+def test_curvature_phase_metric_as_parameter_metric_exit_2(capsys):
+    assert main(["curvature", "--model", "sym-coupled", "--point", "1,0.8",
+                 "--which", "phase_metric"]) == 2
+    err = capsys.readouterr().err
+    assert "phase_metric is 4x4 but the field has 2 coordinates (k0, k1)" in err
+    assert "--which phase:XY" in err and "--which phase-reduced" in err
 
 
 @pytest.mark.parametrize("args, unknown", [

@@ -360,3 +360,139 @@ def test_metric_field_rejects_names_the_model_lacks(coords, fixed, unknown):
                               coords=coords, fixed=fixed)
     assert unknown in str(exc.value)
     assert "['A', 'B', 'C']" in str(exc.value)
+
+
+def _reference_cases():
+    """Seeded (field, point) pairs over the benchmark's curvature families."""
+    from qgeom.models import default_gaussian, oscillator_slice_gaussian
+    rng = np.random.default_rng(20240518)
+    gho, ghol = get_model("gho"), get_model("gho-linear")
+    lin, sym = get_model("lin-coupled"), get_model("sym-coupled")
+    cases = []
+    for n in (0, 1, 5, 100):
+        X = rng.uniform(0.8, 2.5)
+        cases.append((f"gho-Z1-n{n}",
+                      geometry.metric_field(gho, "metric_sub:Z", (n,), coords=("X", "Y"),
+                                            fixed={"Z": 1.0}),
+                      [X, rng.uniform(-0.6, 0.6) * math.sqrt(X)]))
+    for _ in range(2):
+        cases.append(("gaussian", geometry.metric_field(default_gaussian(), "metric", (0,)),
+                      [rng.uniform(0.2, 1.0), rng.uniform(-0.5, 0.5)]))
+        cases.append(("oscillator-slice",
+                      geometry.metric_field(oscillator_slice_gaussian(), "metric", (0,)),
+                      [rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0)]))
+    for qn in ((0, 0), (1, 0)):
+        A, B = rng.uniform(0.7, 1.3), rng.uniform(1.8, 3.0)
+        cases.append((f"lin-coupled-{qn}", geometry.metric_field(lin, "metric", qn),
+                      [A, B, rng.uniform(0.2, 0.6) * 2 * math.sqrt(A * B)]))
+    for n in (0, 1, 3):
+        X = rng.uniform(0.8, 2.0)
+        cases.append((f"gho-linear-z1-n{n}",
+                      geometry.metric_field(ghol, "metric_z1", (n,), coords=("W", "X", "Y"),
+                                            fixed={"Z": 1.0}),
+                      [rng.uniform(0.3, 1.5), X, rng.uniform(-0.5, 0.5) * math.sqrt(X)]))
+    for qn in ((0, 0), (1, 2)):
+        cases.append((f"sym-coupled-{qn}", geometry.metric_field(sym, "metric", qn),
+                      [rng.uniform(0.6, 2.2), rng.uniform(0.3, 2.2)]))
+    chart, u0 = geometry.chart_field(
+        geometry.metric_field(sym, "phase_metric_reduced", (0, 0)),
+        np.array([1.3, 0.7]), ("log", "linear"))
+    cases.append(("chart-sym-phase-reduced", chart, u0))
+    return [pytest.param(field, x, id=name) for name, field, x in cases]
+
+
+def _recorded(field):
+    """The field with its func logging each point it is called at."""
+    log = []
+
+    def func(x):
+        log.append(x.tobytes())
+        return field.func(x)
+
+    return dataclasses.replace(field, func=func), log
+
+
+@pytest.mark.parametrize("field, x", _reference_cases())
+def test_engine_matches_per_point_reference(field, x):
+    # same bits, and the same points in the same order, as the recursion
+    import geometry_reference as ref
+    x = np.array(x)
+    calls = [geometry.metric_derivatives, geometry.christoffel, geometry.riemann,
+             geometry.ricci_scalar, geometry.curvature_report]
+    if field.dim == 2:
+        calls.append(geometry.scalar_2d_direct)
+    for call in calls:
+        new_field, new_log = _recorded(field)
+        old_field, old_log = _recorded(field)
+        got = _parts(call(new_field, x))
+        want = _parts(getattr(ref, call.__name__)(old_field, x))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b, err_msg=call.__name__)
+        assert new_log == old_log, call.__name__
+
+
+def _parts(result):
+    if isinstance(result, geometry.CurvatureReport):
+        return dataclasses.astuple(result)
+    return result if isinstance(result, tuple) else (result,)
+
+
+def _reference_error(call, field, x):
+    import geometry_reference as ref
+    with pytest.raises(Exception) as new:
+        call(field, np.array(x))
+    with pytest.raises(Exception) as old:
+        getattr(ref, call.__name__)(field, np.array(x))
+    assert type(new.value) is type(old.value)
+    assert str(new.value) == str(old.value)
+    return new.value
+
+
+@pytest.mark.parametrize("call", [geometry.christoffel, geometry.riemann,
+                                  geometry.ricci_scalar, geometry.curvature_report,
+                                  geometry.scalar_2d_direct])
+def test_engine_errors_match_reference(call):
+    # a stencil point leaves the oscillator domain Y^2 < X Z
+    f = geometry.metric_field(get_model("gho"), "metric_sub:Z", (0,), coords=("X", "Y"),
+                              fixed={"Z": 1.0})
+    assert isinstance(_reference_error(call, f, [1.0, 1.0 - 1e-6]), DomainError)
+    singular = geometry.MetricField(2, lambda x: np.array([[1.0, 1.0], [1.0, 1.0]]))
+    if call is geometry.scalar_2d_direct:
+        err = _reference_error(call, singular, [1.0, 1.0])
+        assert "determinant" in str(err)
+        flat_g11 = geometry.MetricField(2, lambda x: np.array([[0.0, 1.0], [1.0, 0.0]]))
+        err = _reference_error(call, flat_g11, [1.0, 1.0])
+        assert isinstance(err, NumericalError) and "g11 vanishes" in str(err)
+        return
+    err = _reference_error(call, singular, [1.0, 1.0])
+    assert isinstance(err, NumericalError) and "singular" in str(err)
+    if call is not geometry.christoffel:
+        # g22 vanishes only at the center x - h_0 e_0, which both name
+        kink = geometry.MetricField(
+            2, lambda x: np.array([[1.0, 0.0], [0.0, max(x[0] - 1.0, 0.0)]]))
+        err = _reference_error(call, kink, [1.0 + 1e-4, 1.0])
+        assert "vanishing diagonal" in str(err)
+
+
+def test_one_inverse_and_condition_number_per_richardson_step(monkeypatch):
+    # the centers of a step share one cond and one inv, not one per center
+    counts = collections.Counter()
+    for name in ("inv", "cond"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kw):
+            counts[_name] += 1
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    f = geometry.metric_field(get_model("lin-coupled"), "metric", (0, 0))
+    geometry.ricci_scalar(f, np.array([1.0, 2.0, 1.0]))
+    assert counts == {"inv": 2, "cond": 2}
+
+
+def test_parameter_read_of_a_phase_metric_names_the_mismatch():
+    f = geometry.metric_field(get_model("sym-coupled"), "phase_metric", (0, 0))
+    with pytest.raises(ValueError) as exc:
+        geometry.curvature_report(f, np.array([1.0, 0.8]))
+    assert str(exc.value) == "phase_metric is 4x4 but the field has 2 coordinates (k0, k1)"
