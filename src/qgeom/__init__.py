@@ -1,8 +1,8 @@
 """Generalized quantum geometric tensor toolkit for oscillator models."""
 
 from . import fock, gauss, geometry, models, qgt
-from .errors import (ConvergenceError, DegeneracyError, DomainError,
-                     NumericalError, QgeomError, StateTrackingError)
+from .errors import (DegeneracyError, DomainError, NumericalError, QgeomError,
+                     StateTrackingError)
 from .models import get_model, MODEL_NAMES
 
 __version__ = "0.1.0"
@@ -11,6 +11,6 @@ __all__ = [
     "fock", "gauss", "geometry", "models", "qgt",
     "get_model", "MODEL_NAMES",
     "QgeomError", "DomainError", "NumericalError", "DegeneracyError",
-    "ConvergenceError", "StateTrackingError",
+    "StateTrackingError",
     "__version__",
 ]

@@ -471,6 +471,10 @@ def cmd_curvature(cfg: JobConfig) -> int:
     elif which.startswith("phase:"):
         quantity = "phase_metric"
         coords = tuple(which.split(":", 1)[1])
+    elif which.startswith("metric_sub:"):  # the parameters without K, K pinned
+        quantity = which
+        coords = tuple(name for name in model.param_names
+                       if name != which.split(":", 1)[1])
     else:
         quantity = which
     fixed = {name: point[name] for name in model.param_names

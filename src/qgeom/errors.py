@@ -21,9 +21,5 @@ class DegeneracyError(NumericalError):
     """The selected eigenstate sits in a (near-)degenerate cluster."""
 
 
-class ConvergenceError(NumericalError):
-    """A result is not converged with respect to the basis truncation."""
-
-
 class StateTrackingError(NumericalError):
     """An eigenstate could not be tracked across a parameter displacement."""

@@ -4,16 +4,17 @@ Operators are sparse. Each (modes, cutoff) caches its quadratic monomials
 at unit basis frequency once, on one shared CSR sparsity pattern: the
 identity, q_a, p_a and the symmetrized q_a q_b, p_a p_b and
 (q_a p_a + p_a q_a)/2. An `Operator` is a coefficient vector over them, and
-the basis frequency enters only the coefficients; `form_operators` writes
-quadratic forms r^T M r/2 + b^T r + k straight into such vectors. Eigensolves
-are gauge-fixed: every level by dense LAPACK, or the lowest few by
-shift-invert Lanczos (ARPACK) on a banded Cholesky factor of H - sigma, with
-sigma below the Gershgorin bound. The band costs (kd + 1) * dim entries,
-kd = 2 for one mode and 2 * cutoff for two: 128 MB for a real two-mode basis
-at cutoff 200. An operator without q_a or p_a terms commutes with the parity
-(-1)^(n_1 + ... + n_N), and a window may solve one parity sector alone: half
-the rows and about half the bandwidth, so a quarter of the band (32 MB at
-cutoff 200).
+the basis frequency enters only the coefficients. `form_operators` is the
+one writer of operators: it takes quadratic forms r^T M r/2 + b^T r + k
+straight into such vectors. Operators have no arithmetic, and `eigh` takes
+an `Operator`, not a matrix. Eigensolves are gauge-fixed: every level by
+dense LAPACK, or the lowest few by shift-invert Lanczos (ARPACK) on a
+banded Cholesky factor of H - sigma, with sigma below the Gershgorin bound.
+The band costs (kd + 1) * dim entries, kd = 2 for one mode and 2 * cutoff
+for two: 128 MB for a real two-mode basis at cutoff 200. An operator
+without q_a or p_a terms commutes with the parity (-1)^(n_1 + ... + n_N),
+and a window may solve one parity sector alone: half the rows and about
+half the bandwidth, so a quarter of the band (32 MB at cutoff 200).
 scipy is imported by the first eigensolve, not with this module, so the
 closed-form and geometry layers run without loading it.
 Units: hbar = 1; a mode with basis frequency w_b has q = (a + a^dag)/sqrt(2 w_b)
@@ -29,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DegeneracyError, NumericalError
+from .errors import DegeneracyError, NumericalError
 
 # How far an operator handed to `eigh` may be from Hermitian, relative to its
 # largest entry.
@@ -165,11 +166,6 @@ class Monomials:
     parity: np.ndarray
     form_map: np.ndarray
 
-    def operator(self, key: tuple, scale: float = 1.0) -> "Operator":
-        coeffs = np.zeros(len(self.index))
-        coeffs[self.index[key]] = scale
-        return Operator(self, coeffs)
-
     @cached_property
     def crossing(self) -> np.ndarray:
         """Pattern entries that join states of opposite parity."""
@@ -256,15 +252,14 @@ def monomials(modes: int, cutoff: int) -> Monomials:
 
 
 class Operator:
-    """A linear combination of a basis's quadratic monomials.
+    """A linear combination of a basis's quadratic monomials, written by
+    `form_operators`.
 
-    Arithmetic acts on the coefficient vector, so building an operator costs
-    a few small vector operations; its matrix entries are formed once, by
-    `data`, as one combination of the monomial data arrays.
+    Its matrix entries are formed on demand, by `data`, as one combination
+    of the monomial data arrays.
     """
 
     __slots__ = ("monomials", "coeffs")
-    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
 
     def __init__(self, monomials: Monomials, coeffs: np.ndarray):
         self.monomials = monomials
@@ -273,11 +268,6 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.monomials.pattern.dim
-
-    @property
-    def hermitian(self) -> bool:
-        """Every monomial is Hermitian, so real coefficients make the sum so."""
-        return not np.iscomplexobj(self.coeffs) or not self.coeffs.imag.any()
 
     @property
     def keeps_parity(self) -> bool:
@@ -305,35 +295,6 @@ class Operator:
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """The dense vector op |vec>."""
         return self.monomials.pattern.matvec(self.data(), vec)
-
-    def __add__(self, other):
-        if isinstance(other, Operator):
-            if other.monomials is not self.monomials:
-                raise ValueError("operators belong to bases of different shape")
-            return Operator(self.monomials, self.coeffs + other.coeffs)
-        if np.isscalar(other):  # shift by other * identity
-            coeffs = self.coeffs.astype(np.result_type(self.coeffs, other))
-            coeffs[self.monomials.index[("1",)]] += other
-            return Operator(self.monomials, coeffs)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Operator":
-        return Operator(self.monomials, -self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, scalar):
-        if not np.isscalar(scalar):
-            return NotImplemented
-        return Operator(self.monomials, scalar * self.coeffs)
-
-    __rmul__ = __mul__
 
 
 def form_operators(fb: FockBasis, forms) -> list[Operator]:
@@ -364,53 +325,9 @@ def form_operators(fb: FockBasis, forms) -> list[Operator]:
     return [Operator(mono, c) for c in coeffs]
 
 
-@dataclass(frozen=True)
-class QuadraticSet:
-    """q_a, p_a and their symmetrized pairwise products for one basis."""
-
-    qs: tuple[Operator, ...]
-    ps: tuple[Operator, ...]
-    qq: dict  # (a, b) a <= b -> q_a q_b symmetrized
-    pp: dict  # (a, b) a <= b -> p_a p_b symmetrized
-    qp: tuple[Operator, ...]  # same-mode (q_a p_a + p_a q_a)/2
-
-
-def quadratics(fb: FockBasis) -> QuadraticSet:
-    """All q_a, p_a and their symmetrized pairwise products for a basis.
-
-    The cached unit-frequency monomials are shared; the basis frequency
-    scales only the coefficients, q as w_b^(-1/2) and p as w_b^(1/2) per mode.
-    """
-    mono = monomials(fb.modes, fb.cutoff)
-    ops = {key: mono.operator(key, fb.monomial_scales[k]) for key, k in mono.index.items()}
-    pairs = [(a, b) for a in range(fb.modes) for b in range(a, fb.modes)]
-    return QuadraticSet(
-        tuple(ops[("q", a)] for a in range(fb.modes)),
-        tuple(ops[("p", a)] for a in range(fb.modes)),
-        {pair: ops[("qq",) + pair] for pair in pairs},
-        {pair: ops[("pp",) + pair] for pair in pairs},
-        tuple(ops[("qp", a)] for a in range(fb.modes)),
-    )
-
-
-def position_momentum(fb: FockBasis, mode: int = 0) -> tuple[Operator, Operator]:
-    """Dimensionless q and p for one mode, [q, p] = i up to the truncation edge."""
-    if not 0 <= mode < fb.modes:
-        raise ValueError(f"mode {mode} out of range for {fb.modes}-mode basis")
-    quads = quadratics(fb)
-    return quads.qs[mode], quads.ps[mode]
-
-
-def ladder(fb: FockBasis, mode: int = 0) -> tuple[Operator, Operator]:
-    """Annihilation/creation pair (a, a^dag) acting on the given mode.
-
-    a|n> = sqrt(n)|n-1>, truncated at the cutoff; identity on other modes.
-    """
-    q, p = position_momentum(fb, mode)
-    w = fb.frequencies[mode]
-    half_q = math.sqrt(w / 2.0) * q
-    half_p = (1j / math.sqrt(2.0 * w)) * p
-    return half_q + half_p, half_q - half_p
+def quadratics(fb: FockBasis) -> list[Operator]:
+    """q_1..q_N, p_1..p_N of a basis, each the linear form r_i."""
+    return form_operators(fb, [(None, row, 0.0) for row in np.eye(2 * fb.modes)])
 
 
 @dataclass(frozen=True)
@@ -424,7 +341,6 @@ class Spectrum:
 
     energies: np.ndarray
     states: np.ndarray
-    gauge: str = "max-component-positive"
 
     @property
     def dim(self) -> int:
@@ -484,25 +400,9 @@ def _gauge_phases(states: np.ndarray) -> np.ndarray:
     return np.conj(pivots) / mags
 
 
-def gauge_fix(states: np.ndarray) -> np.ndarray:
-    """Rotate each column's phase so its largest-|.| entry is real positive.
-
-    Returns a new array. Ties in |.| resolve to the first index (argmax),
-    keeping repeated runs bitwise identical.
-    """
-    return states * _gauge_phases(states)
-
-
-def _hermitian_entries(op) -> tuple[Pattern, np.ndarray]:
-    """Pattern and symmetrized entries of a Hermitian operator or matrix."""
-    if isinstance(op, Operator):
-        pattern, data = op.monomials.pattern, op.data()
-    else:
-        m = op.toarray() if hasattr(op, "toarray") else np.asarray(op)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("eigh needs a square matrix")
-        pattern = Pattern.of(*np.nonzero(m), m.shape[0])
-        data = m[pattern.rows, pattern.cols]
+def _hermitian_entries(op: Operator) -> tuple[Pattern, np.ndarray]:
+    """Pattern and symmetrized entries of a Hermitian operator."""
+    pattern, data = op.monomials.pattern, op.data()
     if not np.isfinite(data).all():
         raise NumericalError(
             f"eigh needs finite matrix entries; found "
@@ -563,31 +463,30 @@ def _lowest_levels(pattern: Pattern, data: np.ndarray, k: int):
     return energies[order], states[:, order]
 
 
-def eigh(op, lowest: int | None = None, parity: int | None = None) -> Spectrum:
+def eigh(op: Operator, lowest: int | None = None,
+         parity: int | None = None) -> Spectrum:
     """Gauge-fixed Hermitian eigendecomposition, ascending.
 
-    op is an Operator or a square matrix (dense or scipy.sparse); either must
-    be Hermitian to OPERATOR_HERMITICITY_RTOL, and a NaN or inf entry raises
-    NumericalError before any solve. By default every level comes from dense
-    LAPACK (evd driver). lowest=k asks for the k lowest levels only, from
-    shift-invert Lanczos (ARPACK, fixed start vector) on a banded Cholesky
-    factor of H - sigma, sigma below the Gershgorin bound; the band takes
-    (kd + 1) * dim entries for half-bandwidth kd. k >= dim - 1 takes the
-    full solve.
+    op is an Operator from `form_operators`, whose matrix must be Hermitian
+    to OPERATOR_HERMITICITY_RTOL (else ValueError); a NaN or inf entry
+    raises NumericalError before any solve. By default every level comes
+    from dense LAPACK (evd driver). lowest=k asks for the k lowest levels
+    only, from shift-invert Lanczos (ARPACK, fixed start vector) on a banded
+    Cholesky factor of H - sigma, sigma below the Gershgorin bound; the band
+    takes (kd + 1) * dim entries for half-bandwidth kd. k >= dim - 1 takes
+    the full solve.
     parity=p (0 even, 1 odd) solves only the levels of parity
     (-1)^(n_1 + ... + n_N) = (-1)^p, on the sector's entries: half the rows
     and about half the bandwidth, and dim above is the sector's. The states
-    are returned in the full basis, zero outside the sector. op must be an
-    Operator with no entry joining the two sectors (see
-    `Operator.keeps_parity`); otherwise ValueError.
+    are returned in the full basis, zero outside the sector. op must have no
+    entry joining the two sectors (see `Operator.keeps_parity`); otherwise
+    ValueError.
     Real-symmetric input takes the real path, and eigenvectors stay real.
     """
     if lowest is not None and lowest < 1:
         raise ValueError("lowest must be a positive level count")
     if parity not in (None, 0, 1):
         raise ValueError("parity must be 0 (even) or 1 (odd)")
-    if parity is not None and not isinstance(op, Operator):
-        raise ValueError("a parity sector needs an Operator, not a matrix")
     pattern, data = _hermitian_entries(op)
     if parity is not None:
         if data[op.monomials.crossing].any():
@@ -625,8 +524,7 @@ class ConvergenceReport:
 
 
 def truncation_convergence(evaluate: Callable[[FockBasis], np.ndarray | float],
-                           fb: FockBasis, tol: float = 1e-8,
-                           raise_on_failure: bool = False) -> ConvergenceReport:
+                           fb: FockBasis, tol: float = 1e-8) -> ConvergenceReport:
     """Check that doubling the cutoff moves the result by < tol (relative).
 
     `evaluate` maps a basis to a scalar or array; the deviation is the
@@ -636,10 +534,4 @@ def truncation_convergence(evaluate: Callable[[FockBasis], np.ndarray | float],
     v2 = np.asarray(evaluate(fb.with_cutoff(2 * fb.cutoff)), dtype=complex)
     scale = max(float(np.abs(v2).max()), 1e-300)
     dev = float(np.abs(v1 - v2).max()) / scale
-    report = ConvergenceReport(v2, dev, tol, (fb.cutoff, 2 * fb.cutoff))
-    if raise_on_failure and not report.converged:
-        raise ConvergenceError(
-            f"result changed by {dev:.3e} (rel) when doubling cutoff "
-            f"{fb.cutoff} -> {2 * fb.cutoff}; tol = {tol:.0e}"
-        )
-    return report
+    return ConvergenceReport(v2, dev, tol, (fb.cutoff, 2 * fb.cutoff))

@@ -35,6 +35,10 @@ def _omega(X, Y, Z):
     return math.sqrt(disc)
 
 
+# the index of a 3x3 array's 2x2 block without row and column k, k = 0, 1, 2
+_SUB_BLOCKS = tuple(np.ix_(keep, keep) for keep in ([1, 2], [0, 2], [0, 1]))
+
+
 class GeneralizedOscillator(Model):
     """Quadratic oscillator with parameters (X, Y, Z)."""
 
@@ -80,21 +84,21 @@ class GeneralizedOscillator(Model):
     def _cf_qgt(self, point, qn):
         X, Y, Z = point.values
         w = _omega(X, Y, Z)
-        n = qn[0]
-        real = (bval(n) / (32 * w**4)) * np.array([
-            [Z * Z, -2 * Y * Z, -X * Z + 2 * Y * Y],
-            [-2 * Y * Z, 4 * Z * X, -2 * Y * X],
-            [-X * Z + 2 * Y * Y, -2 * Y * X, X * X],
-        ])
-        imag = (aval(n) / (8 * w**3)) * np.array([
+        imag = (aval(qn[0]) / (8 * w**3)) * np.array([
             [0.0, Z, -Y],
             [-Z, 0.0, X],
             [Y, -X, 0.0],
         ])
-        return real + 1j * imag
+        return self._cf_metric(point, qn) + 1j * imag
 
     def _cf_metric(self, point, qn):
-        return self._cf_qgt(point, qn).real
+        X, Y, Z = point.values
+        w = _omega(X, Y, Z)
+        return (bval(qn[0]) / (32 * w**4)) * np.array([
+            [Z * Z, -2 * Y * Z, -X * Z + 2 * Y * Y],
+            [-2 * Y * Z, 4 * Z * X, -2 * Y * X],
+            [-X * Z + 2 * Y * Y, -2 * Y * X, X * X],
+        ])
 
     def _cf_berry(self, point, qn):
         return -2.0 * self._cf_qgt(point, qn).imag
@@ -114,8 +118,7 @@ class GeneralizedOscillator(Model):
         return np.array([[g[1, 1], -g[0, 1]], [-g[0, 1], g[0, 0]]])
 
     def _metric_sub(self, point, qn, k):
-        g = self._cf_metric(point, qn)
-        return np.delete(np.delete(g, k, axis=0), k, axis=1)
+        return self._cf_metric(point, qn)[_SUB_BLOCKS[k]]
 
     def _cf_sub_x(self, point, qn):
         return self._metric_sub(point, qn, 0)
@@ -162,7 +165,7 @@ class GeneralizedOscillator(Model):
         worst = 0.0
         for k, (i, j) in enumerate([(1, 2), (0, 2), (0, 1)]):
             eps = -1.0 if k == 1 else 1.0  # eps_ijk for the (i, j) pair above
-            sub = np.delete(np.delete(g, k, axis=0), k, axis=1)
+            sub = g[_SUB_BLOCKS[k]]
             rhs = -2.0 * eps * math.sqrt(max(np.linalg.det(sub), 0.0))
             scale = max(abs(F[i, j]), abs(rhs), 1e-300)
             worst = max(worst, abs(F[i, j] - rhs) / scale)

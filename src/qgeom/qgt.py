@@ -341,8 +341,7 @@ def covariance_from_state(model: Model, point: ParamPoint, sel: StateSelector,
     model.validate(point)
     if state is None:
         state = select_state(model, point, sel, fb, spectrum=spectrum)
-    quads = quadratics(fb)
-    ops = quads.qs + quads.ps
+    ops = quadratics(fb)
     vec = state.vector.astype(complex)
     # for Hermitian r_i: <{r_i, r_j}>/2 = Re[(r_i v)^dag (r_j v)]
     images = [op.apply(vec) for op in ops]

@@ -282,6 +282,22 @@ def test_curvature_phase_submanifold(tmp_path):
     assert row["scalar_2d_direct"] == pytest.approx(expected, abs=1e-4)
 
 
+@pytest.mark.parametrize("pinned", ["X", "Y", "Z"])
+def test_curvature_metric_sub_pins_its_parameter(tmp_path, pinned):
+    # metric_sub:K is the metric on the other two parameters, K at --point;
+    # its scalar curvature is -16/b_n, b_1 = 3
+    out_file = tmp_path / "sub.json"
+    code = main(["curvature", "--model", "gho", "--point", "2,0.5,1", "--n", "1",
+                 "--which", f"metric_sub:{pinned}", "--format", "json",
+                 "--out", str(out_file)])
+    assert code == 0
+    row = json.loads(out_file.read_text())["rows"][0]
+    assert {key for key in row if key.startswith("point[")} == {
+        f"point[{name}]" for name in "XYZ" if name != pinned}
+    assert row["scalar"] == pytest.approx(-16.0 / 3.0, abs=1e-4)
+    assert row["scalar_2d_direct"] == pytest.approx(-16.0 / 3.0, abs=1e-4)
+
+
 def test_entangle_command(tmp_path):
     out_file = tmp_path / "ent.csv"
     code = main(["entangle", "--model", "sym-coupled", "--point", "1,1",
@@ -513,10 +529,6 @@ cold = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 model = get_model("gho")
 op = model.hamiltonian(model.point(2.0, 0.5, 1.0), fock.basis(1, 20))
-if sys.argv[1] == "sparse":
-    import scipy.sparse
-    p = op.monomials.pattern
-    op = scipy.sparse.coo_matrix((op.data(), (p.rows, p.cols)), shape=(p.dim, p.dim))
 before = "scipy.linalg" in sys.modules
 lowest = 3 if sys.argv[1] == "window" else None
 energies = fock.eigh(op, lowest=lowest).energies
@@ -526,7 +538,7 @@ print(json.dumps({"cold": cold, "before": before,
 """
 
 
-@pytest.mark.parametrize("kind", ["operator", "window", "sparse"])
+@pytest.mark.parametrize("kind", ["operator", "window"])
 def test_scipy_loads_on_the_first_eigensolve(tmp_path, kind):
     # a fresh process: this one has loaded scipy long ago
     done = _run_python("-c", COLD_START, kind, str(tmp_path / "out.csv"))

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dense_reference import commutator, dagger, dense, position_momentum
+from dense_reference import (assert_hermitian, commutator, dagger, dense,
+                             position_momentum)
 from qgeom import MODEL_NAMES, fock, gauss
 from qgeom.errors import DomainError, NumericalError
 from qgeom.models import (GeneralizedOscillator, NormalModeData, get_model,
@@ -76,7 +77,7 @@ def test_hamiltonian_hermitian_and_bounded(name):
     point = model.point(*PROBE[name])
     fb = model.default_basis(point, 24)
     H = model.hamiltonian(point, fb)
-    assert H.hermitian
+    assert_hermitian(dense(H))
     spec = fock.eigh(H)
     closed = model.closed_form("energy", point, (0,) * model.dof)
     assert abs(spec.energies[0] - closed) < 1e-6
@@ -162,6 +163,24 @@ def test_gho_spectrum_unit():
     point = model.point(1.0, 0.0, 1.0)
     spec = fock.eigh(model.hamiltonian(point, model.default_basis(point, 60)))
     np.testing.assert_allclose(spec.energies[:6], np.arange(6) + 0.5, atol=1e-9)
+
+
+def test_gho_metric_sub_is_the_metric_block():
+    # metric_sub:K is the metric without row and column K, entry for entry
+    model = get_model("gho")
+    rng = np.random.default_rng(23)
+    points = [(2.0, 0.0, 1.0)]  # Y = 0, where -2YZ is a signed zero
+    for _ in range(3):
+        Y, Z = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0)
+        points.append(((Y * Y + rng.uniform(0.5, 2.0)) / Z, Y, Z))
+    for values in points:
+        point = model.point(*values)
+        for n in (0, 1, 3):
+            g = model.closed_form("metric", point, (n,))
+            for k, name in enumerate(model.param_names):
+                keep = [i for i in range(3) if i != k]
+                sub = model.closed_form(f"metric_sub:{name}", point, (n,))
+                assert np.array_equal(sub, g[np.ix_(keep, keep)]), (values, n, name)
 
 
 def test_sym_decoupled_spectrum():
