@@ -415,8 +415,7 @@ def _prop_uncertainty(config: AcceptanceConfig) -> Result:
     lo = 0.0
     for qn in ((0, 0), (1, 2)):
         cov = qgt.covariance_from_state(model, point, qgt.StateSelector(qn), fb)
-        herm = cov.entries + 0.5j * gauss.symplectic_form(cov.modes)
-        lo = min(lo, float(np.linalg.eigvalsh(herm).min()))
+        lo = min(lo, float(np.linalg.eigvalsh(gauss.add_half_omega(cov.entries)).min()))
     return [(lo >= -1e-10, f"min eig(sigma + i Omega/2) = {_fmt(lo)} (tol -1e-10)")]
 
 

@@ -335,10 +335,10 @@ def cmd_eval(cfg: JobConfig) -> int:
         elif method == "closed-form":
             qn = sel.quantum_numbers
             blocks = {}
-            if "qgt" in model._closed:
+            if "qgt" in model.closed_quantities():
                 blocks["G"] = (model.param_names,
                                np.asarray(model.closed_form("qgt", point, qn)))
-            if "phase_qgt" in model._closed:
+            if "phase_qgt" in model.closed_quantities():
                 blocks["Gphase"] = (model.phase_labels,
                                     np.asarray(model.closed_form("phase_qgt", point, qn)))
             for prefix, (labels, matrix) in blocks.items():
@@ -386,10 +386,18 @@ def _grid_points(cfg: JobConfig, model):
         yield values
 
 
+def _default_quantities(model) -> tuple[str, ...]:
+    """sweep without --quantities: the scalar curvature where the catalog
+    has it, the reduced-state purity and entropy for two modes."""
+    scalar = ("scalar",) if "scalar:param" in model.closed_quantities() else ()
+    pair = ("purity", "entropy") if model.dof == 2 else ()
+    return ("det_metric", *scalar, *pair, "nu")
+
+
 def _sweep_one(model, values: dict, qn: tuple[int, ...], cfg: JobConfig):
     point = model.point(**values)
     row: dict = {f"point[{name}]": value for name, value in zip(point.names, point.values)}
-    quantities = cfg.quantities or ("det_metric", "scalar", "purity", "entropy", "nu")
+    quantities = cfg.quantities or _default_quantities(model)
     cutoff = model_cutoff(cfg, model)
     need_state = any(q in ("purity", "entropy", "nu") for q in quantities) \
         and model.dof == 2
@@ -400,7 +408,7 @@ def _sweep_one(model, values: dict, qn: tuple[int, ...], cfg: JobConfig):
         red = gauss.reduce(cov, [0])
     for quantity in quantities:
         if quantity == "det_metric":
-            if "metric_det" in model._closed:
+            if "metric_det" in model.closed_quantities():
                 row["det_metric"] = float(model.closed_form("metric_det", point, qn))
             else:
                 row["det_metric"] = float(np.linalg.det(
@@ -415,9 +423,10 @@ def _sweep_one(model, values: dict, qn: tuple[int, ...], cfg: JobConfig):
         elif quantity == "entropy":
             row["entropy"] = gauss.von_neumann_entropy(red) if red is not None \
                 else float(model.closed_form("entropy", point, qn))
-        elif quantity == "nu":
-            row["nu"] = float(gauss.symplectic_eigenvalues(red)[0]) \
-                if red is not None else 0.5
+        elif quantity == "nu":  # one mode: the closed covariance, no eigensolve
+            cov = red if red is not None else gauss.CovarianceMatrix(
+                1, model.closed_form("covariance", point, qn))
+            row["nu"] = float(gauss.symplectic_eigenvalues(cov)[0])
         else:
             row[quantity] = float(model.closed_form(quantity, point, qn))
     return row

@@ -1,10 +1,12 @@
-"""Gaussian-state entanglement from covariance matrices.
+"""Covariance matrices, the phase-space QGT block, and Gaussian entanglement.
 
 Conventions: hbar = 1, quadrature ordering r = (q_1..q_N, p_1..p_N), so the
 symplectic form is Omega = [[0, I], [-I, 0]] and a pure vacuum mode has
-nu = 1/2. Purity and von Neumann entropy follow the standard Gaussian-state
-formulas; they are state-independent functions of the covariance, so they are
-physically meaningful only when the underlying state is Gaussian.
+nu = 1/2. In every state the phase-space QGT block is the covariance matrix
+sigma: `add_half_omega(quadrature_swap(sigma))`. Purity and von Neumann
+entropy follow the standard Gaussian-state formulas; they are
+state-independent functions of the covariance, so they are physically
+meaningful only when the underlying state is Gaussian.
 """
 
 from __future__ import annotations
@@ -24,9 +26,28 @@ NU_CLAMP = 1e-10
 
 def symplectic_form(modes: int) -> np.ndarray:
     """Omega with [q_a, p_b] = i delta_ab in (q.., p..) ordering."""
-    z = np.zeros((modes, modes))
     eye = np.eye(modes)
-    return np.block([[z, eye], [-eye, z]])
+    omega = np.zeros((2 * modes, 2 * modes))
+    omega[:modes, modes:] = eye
+    omega[modes:, :modes] = -eye
+    return omega
+
+
+def add_half_omega(matrix: np.ndarray) -> np.ndarray:
+    """matrix + i Omega/2: the phase-space QGT block of a phase metric, and
+    the Robertson-Schroedinger matrix of a covariance."""
+    return matrix + 0.5j * symplectic_form(len(matrix) // 2)
+
+
+def quadrature_swap(matrix: np.ndarray) -> np.ndarray:
+    """[[qq, qp], [pq, pp]] -> [[pp, -qp], [-pq, qq]], its own inverse.
+
+    It maps the covariance sigma onto the phase metric Re G (g_qq = sigma_pp,
+    g_qp = -sigma_qp, g_pp = sigma_qq) and the phase metric back onto sigma.
+    """
+    n = len(matrix) // 2
+    return np.block([[matrix[n:, n:], -matrix[:n, n:]],
+                     [-matrix[n:, :n], matrix[:n, :n]]])
 
 
 @dataclass(frozen=True)
@@ -46,8 +67,7 @@ class CovarianceMatrix:
             raise NumericalError("covariance matrix is not symmetric")
         object.__setattr__(self, "entries", m)
         # Robertson-Schroedinger bound: sigma + i Omega/2 >= 0
-        herm = m + 0.5j * symplectic_form(self.modes)
-        lo = float(np.linalg.eigvalsh(herm).min())
+        lo = float(np.linalg.eigvalsh(add_half_omega(m)).min())
         if lo < -UNCERTAINTY_ATOL * scale:
             raise NumericalError(
                 f"covariance violates the uncertainty bound (min eig {lo:.3e})"

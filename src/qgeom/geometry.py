@@ -435,7 +435,7 @@ def beltrami_residual(model: Model, point: ParamPoint, qn: Sequence[int],
     J is the FD Jacobian of (u(k0, k1), v(k0, k1)); a small residual verifies
     ds^2 = du^2 + dv^2.
     """
-    if "beltrami" not in model._closed:
+    if "beltrami" not in model.closed_quantities():
         raise DomainError(f"model {model.name!r} has no flat-coordinate map")
     qn = tuple(qn)
     x = point.as_array()

@@ -1,4 +1,8 @@
-"""Shared model machinery: parameter points, normal-mode data, model ABC."""
+"""Shared model machinery: parameter points, normal-mode data, model ABC.
+
+Models transcribe closed forms; `Model` derives qgt from metric and berry,
+and phase_qgt and covariance from phase_metric (`DERIVED`, through `gauss`).
+"""
 
 from __future__ import annotations
 
@@ -9,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .. import gauss
 from ..errors import DomainError, NumericalError
 from ..fock import FockBasis, Operator, basis as make_basis, form_operators
 from ..fock import quadratics  # noqa: F401  (perfbench instruments it here)
@@ -51,6 +56,21 @@ class ParamPoint:
         return ParamPoint(self.names, tuple(vals))
 
 
+# derived quantity -> (the transcribed quantities it follows from, how)
+DERIVED = {
+    "qgt": (("metric", "berry"), lambda metric, berry: metric - 0.5j * berry),
+    "phase_qgt": (("phase_metric",), gauss.add_half_omega),
+    "covariance": (("phase_metric",), gauss.quadrature_swap),
+}
+
+
+def _derived_method(combine, sources):
+    """The closed-form method (self, point, qn) -> combine(*source values)."""
+    def method(self, point, qn):
+        return combine(*[source(self, point, qn) for source in sources])
+    return method
+
+
 # How far the normal frequencies derived from a model's quadratic form may sit
 # from the ones it declares, relative to the declared ones.
 FREQUENCY_RTOL = 1e-10
@@ -69,9 +89,10 @@ class Model(ABC):
 
     Concrete models define `quadratic_form` and `form_derivatives`, the
     normal-mode data (which fixes the mode labels and order), `validate`,
-    and a catalog of closed-form quantities used as regression oracles. The
-    Weyl-ordered sparse operators in a Fock basis (`hamiltonian`,
-    `deformations`, `normal_mode_ladders`) are derived here from the form.
+    and the `_closed` table of the closed forms they transcribe, used as
+    regression oracles. The Weyl-ordered sparse operators in a Fock basis
+    (`hamiltonian`, `deformations`, `normal_mode_ladders`) are derived here
+    from the form, and the `DERIVED` quantities from the transcribed ones.
     """
 
     name: str = ""
@@ -178,15 +199,29 @@ class Model(ABC):
 
     # ---- closed forms ---------------------------------------------------
 
-    #: quantity name -> method name; populated by subclasses
+    #: transcribed quantity name -> method name; populated by subclasses
     _closed: dict[str, str] = {}
+    #: every quantity -> its function (self, point, qn); built per class
+    _catalog: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        catalog = {q: getattr(cls, method) for q, method in cls._closed.items()}
+        for quantity, (sources, combine) in DERIVED.items():
+            if quantity in catalog:
+                raise TypeError(f"{cls.__name__} transcribes {quantity!r}, which "
+                                f"Model derives from {', '.join(sources)}")
+            if all(s in catalog for s in sources):
+                catalog[quantity] = _derived_method(
+                    combine, [catalog[s] for s in sources])
+        cls._catalog = catalog
 
     def closed_quantities(self) -> tuple[str, ...]:
-        return tuple(sorted(self._closed))
+        return tuple(sorted(self._catalog))
 
     def closed_form(self, quantity: str, point: ParamPoint,
                     qn: Sequence[int] = (0,)):
-        """Evaluate a transcribed closed-form quantity at a point.
+        """Evaluate a transcribed or derived closed-form quantity at a point.
 
         qn is the vector of quantum numbers (length = dof).
         """
@@ -201,13 +236,13 @@ class Model(ABC):
         quantity many times resolve it once and validate each point.
         """
         try:
-            method = self._closed[quantity]
+            function = self._catalog[quantity]
         except KeyError:
             raise ValueError(
                 f"model {self.name!r} has no closed form {quantity!r}; "
                 f"available: {', '.join(self.closed_quantities())}"
             ) from None
-        return getattr(self, method)
+        return function.__get__(self)
 
     def _check_qn(self, qn) -> tuple[int, ...]:
         if np.isscalar(qn):

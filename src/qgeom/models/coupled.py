@@ -6,10 +6,11 @@ Linear:     H = (1/2)(p1^2 + p2^2 + A q1^2 + B q2^2 + C q1 q2),
             normal modes via the rotation angle zeta with
             tan(zeta) = sqrt(eps^2 + 1) - eps, eps = (B - A)/C  (eps > 0 branch).
 
-Both expose the excited-state parameter metric, the 4x4 phase-space block of
-the generalized QGT, covariance matrices, and ground-state entanglement
-closed forms. The per-model weight c_m differs on purpose: 2m + 1 in the
-symmetric system, m + 1/2 in the linear one (the source uses both).
+Both transcribe the excited-state parameter metric, the 4x4 phase metric (the
+real part of the phase-space QGT block, from which `Model` derives the block
+and the covariance matrix), and ground-state entanglement closed forms. The
+per-model weight c_m differs on purpose: 2m + 1 in the symmetric system,
+m + 1/2 in the linear one (the source uses both).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 
 import numpy as np
 
+from .. import gauss
 from ..errors import DomainError
 from ..fock import quadratics  # noqa: F401  (perfbench instruments it here)
 from .base import Model, NormalModeData, aval, bval
@@ -32,12 +34,18 @@ def _potential(K) -> np.ndarray:
     return M
 
 
-def _omega_block(gq: np.ndarray, gp: np.ndarray) -> np.ndarray:
-    """Assemble Re(phase QGT) + i Omega/2 from its qq and pp blocks."""
+def _phase_metric(gq: np.ndarray, gp: np.ndarray) -> np.ndarray:
+    """The 4x4 phase metric from its qq and pp blocks (no q-p entries)."""
     z = np.zeros((2, 2))
-    real = np.block([[gq, z], [z, gp]])
-    omega = np.block([[z, np.eye(2)], [-np.eye(2), z]])
-    return real + 0.5j * omega
+    return np.block([[gq, z], [z, gp]])
+
+
+_MODE_1 = np.ix_([0, 2], [0, 2])  # (q1, p1) rows and columns
+
+
+def _reduced_covariance(self, point, qn):
+    """Covariance of mode 1 alone: the swap commutes with dropping mode 2."""
+    return gauss.quadrature_swap(self._cf_phase_metric(point, qn)[_MODE_1])
 
 
 def _entropy_of_nu(nu: float) -> float:
@@ -56,14 +64,11 @@ class SymmetricCoupled(Model):
 
     _closed = {
         "energy": "_cf_energy",
-        "qgt": "_cf_qgt",
         "metric": "_cf_metric",
         "berry": "_cf_berry",
         "metric_det": "_cf_det",
-        "phase_qgt": "_cf_phase_qgt",
         "phase_metric": "_cf_phase_metric",
         "phase_metric_reduced": "_cf_phase_reduced",
-        "covariance": "_cf_covariance",
         "covariance_reduced": "_cf_covariance_reduced",
         "symplectic_nu": "_cf_nu",
         "purity": "_cf_purity",
@@ -113,9 +118,6 @@ class SymmetricCoupled(Model):
             [2 * bn / w2**4, 4 * bn / w2**4],
         ])
 
-    def _cf_qgt(self, point, qn):
-        return self._cf_metric(point, qn) + 0j
-
     def _cf_berry(self, point, qn):
         return np.zeros((2, 2))
 
@@ -126,17 +128,14 @@ class SymmetricCoupled(Model):
     def _c(self, qn):
         return 2 * qn[0] + 1.0, 2 * qn[1] + 1.0
 
-    def _cf_phase_qgt(self, point, qn):
+    def _cf_phase_metric(self, point, qn):
         w1, w2 = self._freqs(point)
         cm, cn = self._c(qn)
         gq = 0.25 * np.array([[cm * w1 + cn * w2, cm * w1 - cn * w2],
                               [cm * w1 - cn * w2, cm * w1 + cn * w2]])
         gp = 0.25 * np.array([[cm / w1 + cn / w2, cm / w1 - cn / w2],
                               [cm / w1 - cn / w2, cm / w1 + cn / w2]])
-        return _omega_block(gq, gp)
-
-    def _cf_phase_metric(self, point, qn):
-        return self._cf_phase_qgt(point, qn).real
+        return _phase_metric(gq, gp)
 
     def _cf_phase_reduced(self, point, qn):
         w1, w2 = self._freqs(point)
@@ -144,14 +143,7 @@ class SymmetricCoupled(Model):
         return 0.25 * np.array([[cm * w1 + cn * w2, 0.0],
                                 [0.0, cm / w1 + cn / w2]])
 
-    def _cf_covariance(self, point, qn):
-        g = self._cf_phase_metric(point, qn)
-        qq, pp, qp = g[2:, 2:], g[:2, :2], -g[:2, 2:]
-        return np.block([[qq, qp], [qp.T, pp]])
-
-    def _cf_covariance_reduced(self, point, qn):
-        s = self._cf_covariance(point, qn)
-        return s[np.ix_([0, 2], [0, 2])]
+    _cf_covariance_reduced = _reduced_covariance
 
     def _require_ground(self, qn, what):
         if qn != (0, 0):
@@ -208,14 +200,11 @@ class LinearCoupled(Model):
 
     _closed = {
         "energy": "_cf_energy",
-        "qgt": "_cf_qgt",
         "metric": "_cf_metric",
         "berry": "_cf_berry",
         "metric_det": "_cf_det",
-        "phase_qgt": "_cf_phase_qgt",
         "phase_metric": "_cf_phase_metric",
         "phase_metric_reduced": "_cf_phase_reduced",
-        "covariance": "_cf_covariance",
         "covariance_reduced": "_cf_covariance_reduced",
         "purity": "_cf_purity",
         "entropy": "_cf_entropy",
@@ -299,9 +288,6 @@ class LinearCoupled(Model):
         return (bm / (32 * w1**4) * M + bn / (32 * w2**4) * N
                 + coupling / (4 * (w2**2 - w1**2) ** 2) * L)
 
-    def _cf_qgt(self, point, qn):
-        return self._cf_metric(point, qn) + 0j
-
     def _cf_berry(self, point, qn):
         return np.zeros((3, 3))
 
@@ -312,7 +298,7 @@ class LinearCoupled(Model):
                 * (aval(m) * aval(n) * (w1**2 + w2**2) - w1 * w2 / 2)
                 / (4096 * w1**5 * w2**5 * (w2**2 - w1**2) ** 2))
 
-    def _cf_phase_qgt(self, point, qn):
+    def _cf_phase_metric(self, point, qn):
         w1, w2, zeta = self.mixing(point)
         cm, cn = aval(qn[0]), aval(qn[1])
         c, s = math.cos(zeta), math.sin(zeta)
@@ -324,24 +310,14 @@ class LinearCoupled(Model):
             [cm * c * c / w1 + cn * s * s / w2, (cn / w2 - cm / w1) * s * c],
             [(cn / w2 - cm / w1) * s * c, cm * s * s / w1 + cn * c * c / w2],
         ])
-        return _omega_block(gq, gp)
-
-    def _cf_phase_metric(self, point, qn):
-        return self._cf_phase_qgt(point, qn).real
+        return _phase_metric(gq, gp)
 
     def _cf_phase_reduced(self, point, qn):
         g = self._cf_phase_metric(point, qn)
         # (p1p1, q1q1) diagonal, matching the printed reduced metric ordering
         return np.array([[g[2, 2], 0.0], [0.0, g[0, 0]]])
 
-    def _cf_covariance(self, point, qn):
-        g = self._cf_phase_metric(point, qn)
-        qq, pp, qp = g[2:, 2:], g[:2, :2], -g[:2, 2:]
-        return np.block([[qq, qp], [qp.T, pp]])
-
-    def _cf_covariance_reduced(self, point, qn):
-        s = self._cf_covariance(point, qn)
-        return s[np.ix_([0, 2], [0, 2])]
+    _cf_covariance_reduced = _reduced_covariance
 
     def _cf_purity(self, point, qn):
         """Ground-state purity mu = 1/(2 sqrt(det sigma_1)) of one oscillator.

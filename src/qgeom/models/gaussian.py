@@ -32,12 +32,10 @@ class GaussianModel(Model):
     _closed = {
         "energy": "_cf_energy",
         "metric": "_cf_metric",
-        "qgt": "_cf_qgt",
         "berry": "_cf_berry",
         "metric_det": "_cf_det",
         "ricci": "_cf_ricci",
         "scalar:param": "_cf_scalar",
-        "phase_qgt": "_cf_phase_qgt",
         "phase_metric": "_cf_phase_metric",
     }
 
@@ -130,12 +128,9 @@ class GaussianModel(Model):
                 g[i, j] = (ds[i] * ds[j] + dm[i] * dm[j]) / (2 * s * s)
         return g
 
-    def _cf_qgt(self, point, qn):
-        return self._cf_metric(point, qn) + 0j  # real wave function: no Berry part
-
     def _cf_berry(self, point, qn):
         self._require_ground(qn)
-        return np.zeros((2, 2))
+        return np.zeros((2, 2))  # real wave function: no Berry part
 
     def _cf_det(self, point, qn):
         self._require_ground(qn)
@@ -151,13 +146,9 @@ class GaussianModel(Model):
         self._require_ground(qn)
         return -4.0
 
-    def _cf_phase_qgt(self, point, qn):
-        w = self.frequency(point)
-        real = aval(qn[0]) * np.array([[w, 0.0], [0.0, 1.0 / w]])
-        return real + 0.5j * np.array([[0.0, 1.0], [-1.0, 0.0]])
-
     def _cf_phase_metric(self, point, qn):
-        return self._cf_phase_qgt(point, qn).real
+        w = self.frequency(point)
+        return aval(qn[0]) * np.array([[w, 0.0], [0.0, 1.0 / w]])
 
 
 def default_gaussian() -> GaussianModel:

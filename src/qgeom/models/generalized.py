@@ -1,10 +1,11 @@
 """Single-mode generalized oscillator, with and without a linear term.
 
 H = (1/2)[Z p^2 + Y(pq + qp) + X q^2] (+ W q), normal frequency
-w = sqrt(XZ - Y^2).  Closed forms cover the full parameter-block QGT, the
-phase-space block, restricted submanifold metrics, their scalar curvatures,
-and (for the linear-term model) the Christoffel/Ricci tables and the metric
-determinant on the Z = 1 slice.
+w = sqrt(XZ - Y^2).  The transcribed closed forms are the parameter metric
+and Berry curvature, the phase metric (blind to the linear term), restricted
+submanifold metrics, their scalar curvatures, and (for the linear-term model)
+the Christoffel/Ricci tables and the metric determinant on the Z = 1 slice;
+`Model` derives the QGT blocks and the covariance from them.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ def _omega(X, Y, Z):
     return math.sqrt(disc)
 
 
+def _phase_metric(X, Y, Z, n):
+    """Re of the phase-space QGT block of level n, (a_n / w) [[X, Y], [Y, Z]]."""
+    return (aval(n) / _omega(X, Y, Z)) * np.array([[X, Y], [Y, Z]])
+
+
 # the index of a 3x3 array's 2x2 block without row and column k, k = 0, 1, 2
 _SUB_BLOCKS = tuple(np.ix_(keep, keep) for keep in ([1, 2], [0, 2], [0, 1]))
 
@@ -48,12 +54,9 @@ class GeneralizedOscillator(Model):
 
     _closed = {
         "energy": "_cf_energy",
-        "qgt": "_cf_qgt",
         "metric": "_cf_metric",
         "berry": "_cf_berry",
-        "phase_qgt": "_cf_phase_qgt",
         "phase_metric": "_cf_phase_metric",
-        "covariance": "_cf_covariance",
         "metric_sub:X": "_cf_sub_x",
         "metric_sub:Y": "_cf_sub_y",
         "metric_sub:Z": "_cf_sub_z",
@@ -81,16 +84,6 @@ class GeneralizedOscillator(Model):
     def _cf_energy(self, point, qn):
         return _omega(*point.values) * aval(qn[0])
 
-    def _cf_qgt(self, point, qn):
-        X, Y, Z = point.values
-        w = _omega(X, Y, Z)
-        imag = (aval(qn[0]) / (8 * w**3)) * np.array([
-            [0.0, Z, -Y],
-            [-Z, 0.0, X],
-            [Y, -X, 0.0],
-        ])
-        return self._cf_metric(point, qn) + 1j * imag
-
     def _cf_metric(self, point, qn):
         X, Y, Z = point.values
         w = _omega(X, Y, Z)
@@ -101,21 +94,16 @@ class GeneralizedOscillator(Model):
         ])
 
     def _cf_berry(self, point, qn):
-        return -2.0 * self._cf_qgt(point, qn).imag
-
-    def _cf_phase_qgt(self, point, qn):
         X, Y, Z = point.values
         w = _omega(X, Y, Z)
-        real = (aval(qn[0]) / w) * np.array([[X, Y], [Y, Z]])
-        return real + 0.5j * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        return (aval(qn[0]) / (-4 * w**3)) * np.array([
+            [0.0, Z, -Y],
+            [-Z, 0.0, X],
+            [Y, -X, 0.0],
+        ])
 
     def _cf_phase_metric(self, point, qn):
-        return self._cf_phase_qgt(point, qn).real
-
-    def _cf_covariance(self, point, qn):
-        # sigma_qq = g_pp, sigma_pp = g_qq, sigma_qp = -g_qp
-        g = self._cf_phase_metric(point, qn)
-        return np.array([[g[1, 1], -g[0, 1]], [-g[0, 1], g[0, 0]]])
+        return _phase_metric(*point.values, qn[0])
 
     def _metric_sub(self, point, qn, k):
         return self._cf_metric(point, qn)[_SUB_BLOCKS[k]]
@@ -181,10 +169,8 @@ class GeneralizedOscillatorLinear(Model):
 
     _closed = {
         "energy": "_cf_energy",
-        "qgt": "_cf_qgt",
         "metric": "_cf_metric",
         "berry": "_cf_berry",
-        "phase_qgt": "_cf_phase_qgt",
         "phase_metric": "_cf_phase_metric",
         "metric_z1": "_cf_metric_z1",
         "berry_z1": "_cf_berry_z1",
@@ -253,18 +239,10 @@ class GeneralizedOscillatorLinear(Model):
         ])
         return (a / (4 * w**3)) * f1 + f2 / w**6
 
-    def _cf_qgt(self, point, qn):
-        return self._cf_metric(point, qn) - 0.5j * self._cf_berry(point, qn)
-
-    def _cf_phase_qgt(self, point, qn):
+    def _cf_phase_metric(self, point, qn):
         # blind to the linear term: identical to the W = 0 oscillator block
         W, X, Y, Z = point.values
-        w = _omega(X, Y, Z)
-        real = (aval(qn[0]) / w) * np.array([[X, Y], [Y, Z]])
-        return real + 0.5j * np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-    def _cf_phase_metric(self, point, qn):
-        return self._cf_phase_qgt(point, qn).real
+        return _phase_metric(X, Y, Z, qn[0])
 
     # -- Z = 1 slice over (W, X, Y) ------------------------------------------
 

@@ -7,8 +7,9 @@ Pathways over a (model, point, state):
   * qgt_overlap_fd    - central differences of gauge-fixed eigenvectors,
     G_ij = <d_i n|d_j n> - <d_i n|n><n|d_j n> (parameter block only).
   * covariance_from_state + phase_block_from_covariance - second moments
-    mapped onto the phase-space block (g_qq = sigma_pp, g_qp = -sigma_qp,
-    g_pp = sigma_qq, Im = Omega/2).
+    mapped onto the phase-space block by the two `gauss` maps
+    (g_qq = sigma_pp, g_qp = -sigma_qp, g_pp = sigma_qq, Im = Omega/2),
+    the same ones `Model` derives its closed phase_qgt and covariance with.
 
 All pathways must agree; consistency_report quantifies the deviations.
 """
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import StateTrackingError
 from .fock import FockBasis, Spectrum, eigh, quadratics
-from .gauss import CovarianceMatrix, symplectic_form
+from .gauss import CovarianceMatrix, add_half_omega, quadrature_swap
 from .models.base import Model, ParamPoint
 
 # How far a QGT block handed to `split` may be from Hermitian, relative to its
@@ -35,32 +36,24 @@ DISCARD_TOP = 0.2
 
 @dataclass(frozen=True)
 class StateSelector:
-    """Which eigenstate to study and how to locate it in the spectrum.
+    """Which eigenstate to study: its quantum numbers, and the overlap with
+    the analytic normal-mode state that a two-mode match must reach.
 
-    energy-order takes the k-th lowest level (adequate for one mode);
-    overlap-track finds the eigenvector with maximal overlap against the
-    analytic normal-mode product state (required for two modes, where energy
-    ordering scrambles the (m, n) labels).
+    One mode takes the n-th lowest level (energy order). Two modes track the
+    eigenvector with maximal overlap against the normal-mode product state,
+    since energy ordering scrambles the (m, n) labels.
     """
 
     quantum_numbers: tuple[int, ...]
-    resolution: str = "auto"
     min_overlap: float = 0.9
 
     def __post_init__(self):
         qn = tuple(int(n) for n in np.atleast_1d(self.quantum_numbers))
         if any(n < 0 for n in qn):
             raise ValueError("quantum numbers must be non-negative")
-        if self.resolution not in ("auto", "energy-order", "overlap-track"):
-            raise ValueError(f"unknown resolution {self.resolution!r}")
         if not 0 < self.min_overlap <= 1:
             raise ValueError(f"min_overlap must lie in (0, 1], not {self.min_overlap}")
         object.__setattr__(self, "quantum_numbers", qn)
-
-    def mode(self, model: Model) -> str:
-        if self.resolution != "auto":
-            return self.resolution
-        return "energy-order" if model.dof == 1 else "overlap-track"
 
 
 def selector(*qn: int, **kw) -> StateSelector:
@@ -119,7 +112,8 @@ def _best_match(spec: Spectrum, ref: np.ndarray, candidate: int,
 
 def select_state(model: Model, point: ParamPoint, sel: StateSelector,
                  fb: FockBasis, spectrum: Spectrum | None = None) -> SelectedState:
-    """Locate the eigenstate named by the selector's quantum numbers.
+    """Locate the eigenstate named by the selector's quantum numbers: by
+    energy order for one mode, by overlap tracking for two (`StateSelector`).
 
     Without a spectrum, only a window of the lowest levels is solved for:
     n + 3 in energy order, and in overlap tracking the analytic normal-mode
@@ -136,9 +130,7 @@ def select_state(model: Model, point: ParamPoint, sel: StateSelector,
     """
     qn = model._check_qn(sel.quantum_numbers)
     label = f"the ({', '.join(map(str, qn))}) state"
-    tracking = sel.mode(model) == "overlap-track"
-    if not tracking and model.dof != 1:
-        raise ValueError("energy-order resolution is only safe for one mode")
+    tracking = model.dof != 1
     if tracking:
         freqs = np.asarray(model.normal_modes(point).frequencies)
     spec = ground = spectrum
@@ -363,10 +355,7 @@ def phase_block_from_covariance(cov: CovarianceMatrix,
     g_{p_a p_b} = sigma_{q_a q_b}.  Im: Omega/2 (i.e. F = -Omega).
     """
     n = cov.modes
-    s = cov.entries
-    qq, pp, qp = s[:n, :n], s[n:, n:], s[:n, n:]
-    real = np.block([[pp, -qp], [-qp.T, qq]])
-    values = real + 0.5j * symplectic_form(n)
+    values = add_half_omega(quadrature_swap(cov.entries))
     labels = tuple(f"q{a + 1}" for a in range(n)) + tuple(f"p{a + 1}" for a in range(n))
     return QGTResult(labels, values, tuple(quantum_numbers), "covariance-derived")
 
@@ -441,7 +430,7 @@ def consistency_report(model: Model, point: ParamPoint, sel: StateSelector,
         ("qgt", pert.parameter_block, "param:perturbative-vs-closed"),
         ("phase_qgt", pert.phase_block, "phase:perturbative-vs-closed"),
     ):
-        if quantity not in model._closed:
+        if quantity not in model.closed_quantities():
             continue
         try:
             closed = np.asarray(model.closed_form(quantity, point, qn), dtype=complex)

@@ -181,6 +181,41 @@ def test_sweep_scalar_column_is_scalar_param(tmp_path):
             model.closed_form("scalar:param", point, (0,)), rel=1e-12)
 
 
+@pytest.mark.parametrize("model,axis,fix,levels", [
+    ("gho", "X=1:2:2", ["Y=0", "Z=1"], range(4)),
+    ("gho-linear", "X=1:2:2", ["W=0.5", "Y=0.3", "Z=1"], range(4)),
+    ("gaussian", "l1=-0.5:0.5:2", ["l2=0.7"], [0]),
+])
+def test_sweep_one_mode_nu_is_n_plus_half(tmp_path, model, axis, fix, levels):
+    # the symplectic eigenvalue of the closed covariance of level n
+    for n in levels:
+        out_file = tmp_path / f"nu{n}.csv"
+        args = ["sweep", "--model", model, "--axis", axis, "--n", str(n),
+                "--quantities", "nu", "--out", str(out_file)]
+        for assign in fix:
+            args += ["--fix", assign]
+        assert main(args) == 0
+        _, rows = parse_csv(out_file.read_text())
+        assert [float(r["nu"]) for r in rows] == pytest.approx([n + 0.5] * 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("model,axis,fix", [
+    ("gho", "X=1:2:2", ["Y=0.3", "Z=1"]),
+    ("gho-linear", "X=1:2:2", ["W=0.5", "Y=0.3", "Z=1"]),
+    ("gaussian", "l1=-0.5:0.5:2", ["l2=0.7"]),
+    ("sym-coupled", "k1=0.2:0.8:2", ["k0=1"]),
+    ("lin-coupled", "C=0.5:1:2", ["A=1", "B=2"]),
+])
+def test_default_sweep_writes_no_error(tmp_path, model, axis, fix):
+    out_file = tmp_path / "default.csv"
+    args = ["sweep", "--model", model, "--axis", axis, CUT, "16", "--out", str(out_file)]
+    for assign in fix:
+        args += ["--fix", assign]
+    assert main(args) == 0
+    header, rows = parse_csv(out_file.read_text())
+    assert "error" not in header and "nu" in header and len(rows) == 2
+
+
 def test_sweep_error_column_keeps_running(tmp_path):
     out_file = tmp_path / "err.csv"
     # the grid crosses the domain boundary 4AB = C^2
@@ -524,7 +559,7 @@ assert cli.main(["curvature", "--model", "lin-coupled", "--point", "1,2,1",
                  "--out", sys.argv[2]]) == 0
 assert cli.main(["sweep", "--model", "gho-linear", "--axis", "Y=-0.4:0.4:3",
                  "--fix", "W=1", "--fix", "X=1", "--fix", "Z=1", "--n", "1",
-                 "--quantities", "det_metric,scalar", "--out", sys.argv[2]]) == 0
+                 "--quantities", "det_metric,nu,scalar", "--out", sys.argv[2]]) == 0
 cold = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 model = get_model("gho")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from dense_reference import (assert_hermitian, commutator, dagger, dense,
                              position_momentum)
-from qgeom import MODEL_NAMES, fock, gauss
+from qgeom import MODEL_NAMES, fock, gauss, qgt
 from qgeom.errors import DomainError, NumericalError
 from qgeom.models import (GeneralizedOscillator, NormalModeData, get_model,
                           oscillator_slice_gaussian)
@@ -235,6 +236,24 @@ def test_closed_metric_symmetric_psd(name):
     np.testing.assert_allclose(g, g.T, atol=1e-12)
     eigs = np.linalg.eigvalsh(g)
     assert eigs.min() >= -1e-10 * max(np.abs(g).max(), 1.0)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_derived_closed_forms_follow_their_sources(name):
+    # Model derives qgt, phase_qgt and covariance for every catalog model
+    model = get_model(name)
+    point = model.point(*PROBE[name])
+    half_omega = 0.5 * gauss.symplectic_form(model.dof)
+    for qn in itertools.product(range(3), repeat=model.dof):
+        phase = model.closed_form("phase_qgt", point, qn)
+        assert np.array_equal(phase.imag, half_omega)
+        cov = gauss.CovarianceMatrix(model.dof, model.closed_form("covariance", point, qn))
+        assert np.array_equal(qgt.phase_block_from_covariance(cov).values, phase)
+        if name == "gaussian" and qn != (0,):
+            continue  # its parameter closed forms cover the ground state only
+        G = model.closed_form("qgt", point, qn)
+        assert np.array_equal(G.real, model.closed_form("metric", point, qn))
+        assert np.array_equal(-2 * G.imag, model.closed_form("berry", point, qn))
 
 
 def test_closed_berry_antisymmetric():

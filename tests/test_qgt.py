@@ -27,8 +27,6 @@ def gho_setup():
 def test_selector_validation():
     with pytest.raises(ValueError):
         qgt.StateSelector((-1,))
-    with pytest.raises(ValueError):
-        qgt.StateSelector((0,), resolution="nope")
     for bad in (0.0, -0.1, 1.5):  # 0 accepts any level, > 1 none
         with pytest.raises(ValueError, match="min_overlap"):
             qgt.StateSelector((0,), min_overlap=bad)
@@ -48,8 +46,7 @@ def test_select_state_overlap_track():
     model = get_model("sym-coupled")
     point = model.point(1.0, 0.8)
     fb = model.default_basis(point, CUTOFF_2)
-    state = qgt.select_state(
-        model, point, qgt.StateSelector((1, 2), resolution="overlap-track"), fb)
+    state = qgt.select_state(model, point, qgt.StateSelector((1, 2)), fb)
     w1, w2 = model.normal_modes(point).frequencies
     assert state.energy == pytest.approx(1.5 * w1 + 2.5 * w2, abs=1e-8)
     assert state.overlap > 0.99
@@ -60,8 +57,7 @@ def test_select_state_overlap_failure():
     point = model.point(1.0, 0.8)
     fb = model.default_basis(point, 8)
     with pytest.raises(StateTrackingError):
-        qgt.select_state(model, point,
-                         qgt.StateSelector((5, 6), resolution="overlap-track"), fb)
+        qgt.select_state(model, point, qgt.StateSelector((5, 6)), fb)
 
 
 def test_perturbative_matches_closed(gho_setup):
@@ -154,6 +150,18 @@ def test_lin_covariance_det_reduced():
     F = A + B + E
     np.testing.assert_allclose(np.linalg.det(red.entries),
                                0.25 * (1 + C * C / (2 * E * F)), atol=1e-10)
+
+
+@pytest.mark.parametrize("name,values", [("gho-linear", (0.7, 1.4, -0.3, 1.1)),
+                                         ("gaussian", (0.3, 0.7))])
+def test_closed_covariance_matches_the_state(name, values):
+    model = get_model(name)
+    point = model.point(*values)
+    fb = model.default_basis(point, 60)
+    for n in range(3):
+        cov = qgt.covariance_from_state(model, point, qgt.selector(n), fb)
+        np.testing.assert_allclose(cov.entries, model.closed_form("covariance", point, (n,)),
+                                   rtol=0, atol=1e-8)
 
 
 def test_phase_block_from_covariance_mapping():
@@ -388,19 +396,26 @@ def test_lin_entropy_grows_toward_transition():
     assert entropies[1] > entropies[0] > 0
 
 
+def _normal_mode_state(model, point, fb, n):
+    """b^dag^n |ground>, normalized: the state two-mode overlap tracking
+    matches against, here for one mode."""
+    state = eigh(model.hamiltonian(point, fb)).vector(0).astype(complex)
+    raising = model.normal_mode_ladders(point, fb)[0].adjoint()
+    for _ in range(n):
+        state = raising.apply(state)
+    return state / np.linalg.norm(state)
+
+
 def test_overlap_track_matches_energy_order_single_mode():
+    # one mode selects by energy order; the overlap-tracking target of the
+    # same quantum number is that level
     model = get_model("gho")
     point = model.point(2.0, 0.5, 1.0)
     fb = model.default_basis(point, CUTOFF_1)
     full = eigh(model.hamiltonian(point, fb))
     by_energy = qgt.select_state(model, point, qgt.selector(2), fb, spectrum=full)
-    # overlap tracking solves the even sector alone, so its index counts
-    # only even levels; the level itself must be the same
-    by_overlap = qgt.select_state(
-        model, point, qgt.StateSelector((2,), resolution="overlap-track"), fb)
-    assert abs(by_overlap.energy - full.energies[by_energy.index]) <= 1e-10
-    assert abs(np.vdot(by_overlap.vector, full.vector(by_energy.index))) >= 1 - 1e-10
-    assert by_overlap.overlap > 0.999
+    target = _normal_mode_state(model, point, fb, 2)
+    assert abs(np.vdot(target, full.vector(by_energy.index))) >= 1 - 1e-10
 
 
 @pytest.mark.parametrize("values", [(1.5, 2.0, 0.9, 1.0), (2.0, 1.0, 0.5, 1.0)])
@@ -412,11 +427,10 @@ def test_overlap_track_finds_the_energy_level_with_a_linear_term(values, n):
     point = model.point(*values)
     fb = model.default_basis(point, CUTOFF_1)
     full = eigh(model.hamiltonian(point, fb))
-    tracked = qgt.select_state(
-        model, point, qgt.StateSelector((n,), resolution="overlap-track"), fb)
-    assert tracked.overlap >= 1 - 1e-10
-    assert abs(np.vdot(tracked.vector, full.vector(n))) >= 1 - 1e-10
-    assert abs(tracked.energy - full.energies[n]) <= 1e-10
+    selected = qgt.select_state(model, point, qgt.selector(n), fb)
+    assert abs(np.vdot(_normal_mode_state(model, point, fb, n), full.vector(n))) >= 1 - 1e-10
+    assert abs(np.vdot(selected.vector, full.vector(n))) >= 1 - 1e-10
+    assert abs(selected.energy - full.energies[n]) <= 1e-10
 
 
 def _seeded_point(model, seed):
