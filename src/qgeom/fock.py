@@ -326,8 +326,12 @@ def form_operators(fb: FockBasis, forms) -> list[Operator]:
 
 
 def quadratics(fb: FockBasis) -> list[Operator]:
-    """q_1..q_N, p_1..p_N of a basis, each the linear form r_i."""
-    return form_operators(fb, [(None, row, 0.0) for row in np.eye(2 * fb.modes)])
+    """q_1..q_N, p_1..p_N of a basis: each one monomial, so its coefficient
+    vector is one-hot, times that monomial's `FockBasis.monomial_scales`."""
+    mono = monomials(fb.modes, fb.cutoff)
+    rows = [mono.index[kind, a] for kind in ("q", "p") for a in range(fb.modes)]
+    coeffs = np.eye(len(mono.index))[rows] * fb.monomial_scales
+    return [Operator(mono, c) for c in coeffs]
 
 
 @dataclass(frozen=True)

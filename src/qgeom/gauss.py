@@ -35,19 +35,21 @@ def symplectic_form(modes: int) -> np.ndarray:
 
 def add_half_omega(matrix: np.ndarray) -> np.ndarray:
     """matrix + i Omega/2: the phase-space QGT block of a phase metric, and
-    the Robertson-Schroedinger matrix of a covariance."""
-    return matrix + 0.5j * symplectic_form(len(matrix) // 2)
+    the Robertson-Schroedinger matrix of a covariance. Over the last two
+    axes, so a stack of matrices maps matrix by matrix."""
+    return matrix + 0.5j * symplectic_form(matrix.shape[-1] // 2)
 
 
 def quadrature_swap(matrix: np.ndarray) -> np.ndarray:
     """[[qq, qp], [pq, pp]] -> [[pp, -qp], [-pq, qq]], its own inverse.
 
     It maps the covariance sigma onto the phase metric Re G (g_qq = sigma_pp,
-    g_qp = -sigma_qp, g_pp = sigma_qq) and the phase metric back onto sigma.
+    g_qp = -sigma_qp, g_pp = sigma_qq) and the phase metric back onto sigma,
+    over the last two axes of a matrix or a stack of them.
     """
-    n = len(matrix) // 2
-    return np.block([[matrix[n:, n:], -matrix[:n, n:]],
-                     [-matrix[n:, :n], matrix[:n, :n]]])
+    n = matrix.shape[-1] // 2
+    return np.block([[matrix[..., n:, n:], -matrix[..., :n, n:]],
+                     [-matrix[..., n:, :n], matrix[..., :n, :n]]])
 
 
 @dataclass(frozen=True)
@@ -108,12 +110,19 @@ def purity(cov: CovarianceMatrix) -> float:
     return 0.5 ** cov.modes / math.sqrt(det)
 
 
-def _entropy_term(nu: float) -> float:
-    if nu <= 0.5 + NU_CLAMP:
-        return 0.0  # (nu - 1/2) ln(nu - 1/2) -> 0 at the pure-state edge
-    return (nu + 0.5) * math.log(nu + 0.5) - (nu - 0.5) * math.log(nu - 0.5)
+def _entropy_term(nu):
+    """(nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2), elementwise.
+
+    One mode's entropy at symplectic eigenvalue nu (vacuum nu = 1/2). It is 0
+    at the pure-state edge nu <= 1/2 + NU_CLAMP, where (nu - 1/2) ln(nu - 1/2)
+    -> 0 and the logarithm would amplify rounding in nu.
+    """
+    mixed = nu > 0.5 + NU_CLAMP
+    safe = np.where(mixed, nu, 1.0)
+    term = (safe + 0.5) * np.log(safe + 0.5) - (safe - 0.5) * np.log(safe - 0.5)
+    return np.where(mixed, term, 0.0)[()]
 
 
 def von_neumann_entropy(cov: CovarianceMatrix) -> float:
     """S = sum_k [(nu_k + 1/2) ln(nu_k + 1/2) - (nu_k - 1/2) ln(nu_k - 1/2)]."""
-    return float(sum(_entropy_term(nu) for nu in symplectic_eigenvalues(cov)))
+    return float(sum(_entropy_term(symplectic_eigenvalues(cov))))

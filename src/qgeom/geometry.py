@@ -10,15 +10,17 @@ for the symmetric-coupled system. Sign conventions: negative R = hyperbolic.
 Scalar outputs use Richardson (h, h/2) extrapolation; curvature stacks two
 FD derivatives, so the cancellation matters.
 
-Each curvature call (`ricci_scalar`, `curvature_report`, `scalar_2d_direct`,
-`riemann`, `christoffel`, `metric_derivatives`) works in three steps. It
-enumerates its whole stencil up front: the Christoffel centers x and
-x +- h_k e_k at each Richardson step, and their neighbours, deduplicated by
-the exact bytes of each point. It calls the field once per distinct point,
-in that order, and checks the (P, d, d) stack of values once. It then runs
-the FD algebra as array operations over all centers of a step at once: one
-metric-derivative stack, one equilibrated `cond` and `inv`, one einsum for
-the Christoffel symbols. Nothing is kept after the call returns.
+A metric field maps a (P, d) stack of points to the (P, d, d) stack of its
+metrics there (`MetricField`). Each curvature call (`ricci_scalar`,
+`curvature_report`, `scalar_2d_direct`, `riemann`, `christoffel`,
+`metric_derivatives`) works in three steps. It enumerates its whole stencil
+up front: the Christoffel centers x and x +- h_k e_k at each Richardson
+step, and their neighbours, deduplicated by the exact bytes of each point.
+It calls the field once, on the stack of distinct points in that order, and
+checks the stack of values once. It then runs the FD algebra as array
+operations over all centers of a step at once: one metric-derivative stack,
+one equilibrated `cond` and `inv`, one einsum for the Christoffel symbols.
+Nothing is kept after the call returns.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .gauss import SYMMETRY_ATOL
-from .models.base import Model, ParamPoint
+from .models.base import DERIVED, Model, ParamBatch, ParamPoint
 
 # Relative FD step for geometry. After Richardson the truncation error falls
 # as h^4 and the roundoff grows as h shrinks; over the sampled benchmark
@@ -50,8 +52,11 @@ FLATNESS_RTOL = 1e-6
 class MetricField:
     """A symmetric-matrix-valued field over a dim-dimensional chart.
 
-    name and coords only label errors: the quantity the field evaluates and
-    the names of its coordinates.
+    func maps a (P, d) stack of points to the (P, d, d) stack of the metrics
+    there, in one call. Calling the field itself evaluates one point: the
+    P = 1 case, checked like any stack (`_evaluate`). name and coords only
+    label errors: the quantity the field evaluates and the names of its
+    coordinates.
     """
 
     dim: int
@@ -61,19 +66,33 @@ class MetricField:
     coords: tuple[str, ...] = ()
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return _evaluate(self, [np.asarray(x, dtype=float)])[0]
+        return _evaluate(self, np.asarray(x, dtype=float)[None])[0]
 
 
-def _evaluate(field: MetricField, points: Sequence[np.ndarray]) -> np.ndarray:
-    """The symmetrized (P, d, d) stack of field values, one call per point."""
-    values = [np.asarray(field.func(p), dtype=float) for p in points]
-    for g in values:
-        if g.shape != (field.dim, field.dim):
-            size = "x".join(map(str, g.shape)) if g.ndim == 2 else f"of shape {g.shape}"
-            names = f" ({', '.join(field.coords)})" if field.coords else ""
-            raise ValueError(f"{field.name} is {size} but the field has "
-                             f"{field.dim} coordinates{names}")
-    g = np.stack(values)
+def _evaluate(field: MetricField, points: np.ndarray) -> np.ndarray:
+    """The symmetrized (P, d, d) stack of field values at (P, d) points.
+
+    One call to field.func, then one check of the stack: its shape, real
+    and finite values, and symmetry.
+    """
+    g = np.asarray(field.func(points))
+    if g.shape != (len(points), field.dim, field.dim):
+        if g.shape[:1] != (len(points),):
+            raise ValueError(f"{field.name} returned shape {g.shape} for {len(points)} "
+                             "points; a field maps (P, d) points to (P, d, d) metrics")
+        size = "x".join(map(str, g.shape[1:])) if g.ndim == 3 else f"of shape {g.shape[1:]}"
+        names = f" ({', '.join(field.coords)})" if field.coords else ""
+        raise ValueError(f"{field.name} is {size} but the field has "
+                         f"{field.dim} coordinates{names}")
+    if np.iscomplexobj(g):
+        real = DERIVED[field.name][0][0] if field.name in DERIVED else None
+        hint = f"use its real part, {real}" if real else "a metric must be real"
+        raise ValueError(f"{field.name} is complex-valued; {hint}")
+    g = g.astype(float, copy=False)
+    finite = np.isfinite(g).all(axis=(1, 2))
+    if not finite.all():
+        at = points[int(np.argmin(finite))].tolist()
+        raise NumericalError(f"{field.name} is not finite at {at}")
     gt = np.swapaxes(g, 1, 2)
     scale = np.maximum(np.abs(g).max(axis=(1, 2)), 1.0)
     if np.any(np.abs(g - gt).max(axis=(1, 2)) > SYMMETRY_ATOL * scale):
@@ -91,10 +110,12 @@ def metric_field(model: Model, which: str, qn: Sequence[int],
     coords picks which parameters vary (default: all of them); the rest are
     pinned by `fixed`. A name in either that the model does not have raises
     ValueError, as do an unknown quantity and bad quantum numbers, all
-    checked here once; each evaluation still validates its point, so a
-    stencil point outside the model's domain raises DomainError. For
-    phase-space metrics reinterpreted as parameter-space metrics the matrix
-    dimension must match len(coords) (ValueError at evaluation otherwise).
+    checked here once. Each evaluation validates its whole stack of points
+    as one `ParamBatch` and runs the closed form once on it, so a stencil
+    point outside the model's domain raises DomainError naming that point.
+    For phase-space metrics reinterpreted as parameter-space metrics the
+    matrix dimension must match len(coords) (ValueError at evaluation
+    otherwise).
     """
     names = model.param_names
     coords = tuple(coords) if coords is not None else names
@@ -108,13 +129,17 @@ def metric_field(model: Model, which: str, qn: Sequence[int],
         raise ValueError(f"fix the non-coordinate parameters {missing}")
     qn = model._check_qn(qn)
     evaluate = model.closed_method(which)
+    varying = [names.index(n) for n in coords]
+    pinned = [names.index(n) for n in fixed]
+    pinned_values = [float(fixed[n]) for n in fixed]
 
     def func(x: np.ndarray) -> np.ndarray:
-        values = dict(fixed)
-        values.update(zip(coords, x))
-        point = ParamPoint(names, tuple(values[n] for n in names))
-        model.validate(point)
-        return np.asarray(evaluate(point, qn), dtype=float)
+        values = np.empty((len(x), len(names)))
+        values[:, varying] = x
+        values[:, pinned] = pinned_values
+        points = ParamBatch(names, values)
+        model.validate(points)
+        return evaluate(points, qn)
 
     return MetricField(len(coords), func, name=which, coords=coords)
 
@@ -136,7 +161,7 @@ def chart_field(field: MetricField, center: np.ndarray,
     center = np.asarray(center, dtype=float)
     if len(kinds) != field.dim:
         raise ValueError("need one chart kind per coordinate")
-    is_log = [k == "log" for k in kinds]
+    is_log = np.array([k == "log" for k in kinds])
     scales = np.empty(field.dim)
     for i, kind in enumerate(kinds):
         if kind == "log":
@@ -154,21 +179,12 @@ def chart_field(field: MetricField, center: np.ndarray,
                 raise ValueError("explicit chart scales must be positive")
             scales[i] = value
 
-    def to_x(u: np.ndarray) -> np.ndarray:
-        x = np.empty(field.dim)
-        for i in range(field.dim):
-            x[i] = center[i] * math.exp(u[i]) if is_log[i] else center[i] + scales[i] * u[i]
-        return x
-
-    def jac(u: np.ndarray) -> np.ndarray:
-        j = np.empty(field.dim)
-        for i in range(field.dim):
-            j[i] = center[i] * math.exp(u[i]) if is_log[i] else scales[i]
-        return j
-
     def func(u: np.ndarray) -> np.ndarray:
-        j = jac(u)
-        return field(to_x(u)) * np.outer(j, j)
+        # x_i and dx_i/du_i on each row of the (P, d) stack u
+        x = center + scales * u
+        j = np.broadcast_to(scales, u.shape).copy()
+        x[:, is_log] = j[:, is_log] = center[is_log] * np.exp(u[:, is_log])
+        return _evaluate(field, x) * (j[:, :, None] * j[:, None, :])
 
     return (MetricField(field.dim, func, name=field.name, coords=field.coords),
             np.zeros(field.dim))
@@ -432,18 +448,15 @@ def beltrami_residual(model: Model, point: ParamPoint, qn: Sequence[int],
                       step=None) -> float:
     """max |J^T J - g| for the flat coordinates (u, v) of the sym-coupled model.
 
-    J is the FD Jacobian of (u(k0, k1), v(k0, k1)); a small residual verifies
-    ds^2 = du^2 + dv^2.
+    J is the FD Jacobian of (u(k0, k1), v(k0, k1)), from one batch of the
+    four points x +- h_k e_k; a small residual verifies ds^2 = du^2 + dv^2.
     """
     if "beltrami" not in model.closed_quantities():
         raise DomainError(f"model {model.name!r} has no flat-coordinate map")
     qn = tuple(qn)
     x = point.as_array()
     h = default_steps(x, step)
-    jac = np.empty((2, 2))
-    for k in range(2):
-        up = model.closed_form("beltrami", point.shifted(k, +h[k]), qn)
-        dn = model.closed_form("beltrami", point.shifted(k, -h[k]), qn)
-        jac[:, k] = (np.asarray(up) - np.asarray(dn)) / (2 * h[k])
+    uv = model.closed_form("beltrami", ParamBatch(point.names, _shifted(x, h)), qn)
+    jac = (uv[0::2] - uv[1::2]).T / (2 * h)
     g = np.asarray(model.closed_form("metric", point, qn), dtype=float)
     return float(np.abs(jac.T @ jac - g).max())

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .base import Model, NormalModeData, ParamPoint, aval, bval
+from .base import Model, NormalModeData, ParamBatch, ParamPoint, aval, bval
 from .coupled import LinearCoupled, SymmetricCoupled
 from .gaussian import GaussianModel, default_gaussian, oscillator_slice_gaussian
 from .generalized import GeneralizedOscillator, GeneralizedOscillatorLinear
@@ -39,7 +39,7 @@ def get_model(name: str, **kwargs) -> Model:
 
 
 __all__ = [
-    "Model", "NormalModeData", "ParamPoint", "aval", "bval",
+    "Model", "NormalModeData", "ParamBatch", "ParamPoint", "aval", "bval",
     "GeneralizedOscillator", "GeneralizedOscillatorLinear",
     "SymmetricCoupled", "LinearCoupled", "GaussianModel",
     "default_gaussian", "oscillator_slice_gaussian",

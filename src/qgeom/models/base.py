@@ -2,6 +2,14 @@
 
 Models transcribe closed forms; `Model` derives qgt from metric and berry,
 and phase_qgt and covariance from phase_metric (`DERIVED`, through `gauss`).
+
+Every closed form and every `validate` takes either one `ParamPoint` or a
+`ParamBatch` of P points. Closed forms are written with numpy ufuncs and
+`matrix`, so a batch value has a leading (P,) axis and a single point is the
+shape-() case of the same code. They avoid the `**` operator: on numpy
+scalars it is C `pow`, while on arrays it is numpy's own power, and the two
+differ in the last bit for a few percent of inputs. With products and
+ufuncs, a batch equals the stack of its single-point values bitwise.
 """
 
 from __future__ import annotations
@@ -9,7 +17,8 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +34,7 @@ class ParamPoint:
 
     names: tuple[str, ...]
     values: tuple[float, ...]
+    shape: ClassVar[tuple[int, ...]] = ()  # the batch shape of one point
 
     def __post_init__(self):
         names = tuple(self.names)
@@ -41,6 +51,14 @@ class ParamPoint:
             return self.values[self.names.index(key)]
         return self.values[key]
 
+    @property
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        """The values of each point, as plain floats: here the one point."""
+        return (self.values,)
+
+    def __str__(self) -> str:
+        return ", ".join(f"{n}={v}" for n, v in zip(self.names, self.values))
+
     def as_array(self) -> np.ndarray:
         return np.array(self.values)
 
@@ -54,6 +72,116 @@ class ParamPoint:
         vals = list(self.values)
         vals[index] += delta
         return ParamPoint(self.names, tuple(vals))
+
+
+class ParamBatch:
+    """P parameter points, as one (P,) array per parameter.
+
+    It reads like a `ParamPoint` (`names`, `values`, `point["X"]`), so the
+    closed forms and `validate` take either.
+    """
+
+    def __init__(self, names: Sequence[str], values: np.ndarray):
+        """values: (P, len(names)), one row per point."""
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 2 or values.shape[1] != len(names):
+            raise ValueError(f"need a (P, {len(names)}) array of points, got "
+                             f"shape {values.shape}")
+        self.names = tuple(names)
+        self.shape = values.shape[:1]
+        self.values = tuple(np.ascontiguousarray(values.T))
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            row = values[int(np.argmin(finite))]
+            at = ", ".join(f"{n}={float(v)}" for n, v in zip(self.names, row))
+            raise DomainError(f"parameter values must be finite reals (at {at})")
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.values[self.names.index(name)]
+
+    @cached_property
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        """The values of each point, as plain floats."""
+        return tuple(zip(*(v.tolist() for v in self.values)))
+
+    def point(self, index: int) -> ParamPoint:
+        return ParamPoint(self.names, tuple(float(v[index]) for v in self.values))
+
+    def shifted(self, index: int, delta) -> "ParamBatch":
+        columns = list(self.values)
+        columns[index] = columns[index] + delta
+        return ParamBatch(self.names, np.stack(columns, axis=1))
+
+
+Points = ParamPoint | ParamBatch
+#: (failed, message) pairs: failed is a bool, or a boolean array over the
+#: batch, and message() is the error text for a single point
+Checks = Iterator[tuple[object, Callable[[], str]]]
+
+
+def check_domain(point: Points, checks: Callable[[Points], Checks]) -> None:
+    """Raise DomainError if a point fails one of `checks(point)`.
+
+    A single point gets the message of the first check it fails. A batch is
+    checked as a whole; the error then carries the message of its first
+    failing point, which it names. The checks may read an overflow to inf
+    or nan as a failure, so floating-point warnings are off while they run.
+    """
+    with np.errstate(all="ignore"):
+        if not point.shape:
+            for failed, message in checks(point):
+                if failed:
+                    raise DomainError(message())
+            return
+        outside = np.zeros(point.shape, dtype=bool)
+        for failed, _ in checks(point):
+            outside |= failed
+    if outside.any():
+        first = point.point(int(np.argmax(outside)))
+        try:
+            check_domain(first, checks)
+        except DomainError as exc:
+            raise DomainError(f"{exc} (at {first})") from None
+
+
+def nonfinite(x):
+    """x is inf or nan, elementwise. Plain comparisons, so a point's check
+    stays in Python floats and costs no ufunc call."""
+    return (x != x) | (abs(x) == math.inf)
+
+
+def matrix(shape: tuple[int, ...], rows) -> np.ndarray:
+    """The (*shape, r, c) stack of a matrix whose entries are scalars or
+    arrays of the batch shape `shape`."""
+    if not shape:  # one point: every entry is a scalar
+        return np.array(rows, dtype=float)
+    out = np.empty(shape + (len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry
+    return out
+
+
+def lift(value):
+    """A scalar, or one value per point, shaped to scale a stack of
+    matrices point by point (a scalar broadcasts as it is)."""
+    if np.ndim(value) == 0:
+        return value
+    return value[..., None, None]
+
+
+def full(point: Points, value: float):
+    """A constant over the batch shape of `point`: a scalar for one point."""
+    return np.full(point.shape, value)[()]
+
+
+def ipow(x, k: int):
+    """x^k for an integer k >= 1 by repeated products (see the module
+    docstring for why not `x ** k`)."""
+    out = x
+    for _ in range(k - 1):
+        out = out * x
+    return out
 
 
 # derived quantity -> (the transcribed quantities it follows from, how)
@@ -115,9 +243,14 @@ class Model(ABC):
         self.validate(pt)
         return pt
 
+    def validate(self, point: Points) -> None:
+        """Raise DomainError if a point violates the model's constraints;
+        for a batch, the error names the first such point."""
+        check_domain(point, self._domain)
+
     @abstractmethod
-    def validate(self, point: ParamPoint) -> None:
-        """Raise DomainError if the point violates the model's constraints."""
+    def _domain(self, point: Points) -> Checks:
+        """The model's constraints as `check_domain` pairs, in order."""
 
     # ---- labels -------------------------------------------------------------
 
@@ -219,9 +352,10 @@ class Model(ABC):
     def closed_quantities(self) -> tuple[str, ...]:
         return tuple(sorted(self._catalog))
 
-    def closed_form(self, quantity: str, point: ParamPoint,
+    def closed_form(self, quantity: str, point: Points,
                     qn: Sequence[int] = (0,)):
-        """Evaluate a transcribed or derived closed-form quantity at a point.
+        """Evaluate a transcribed or derived closed-form quantity at a point,
+        or at each point of a batch (with a leading (P,) axis).
 
         qn is the vector of quantum numbers (length = dof).
         """
@@ -233,7 +367,7 @@ class Model(ABC):
         """The bound method behind `closed_form(quantity, ...)`.
 
         It takes (point, qn) and checks neither: callers that evaluate one
-        quantity many times resolve it once and validate each point.
+        quantity many times resolve it once and validate each batch.
         """
         try:
             function = self._catalog[quantity]

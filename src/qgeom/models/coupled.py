@@ -15,14 +15,11 @@ m + 1/2 in the linear one (the source uses both).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .. import gauss
-from ..errors import DomainError
 from ..fock import quadratics  # noqa: F401  (perfbench instruments it here)
-from .base import Model, NormalModeData, aval, bval
+from .base import Model, NormalModeData, aval, bval, full, ipow, lift, matrix, nonfinite
 
 _KINETIC = np.diag([0.0, 0.0, 1.0, 1.0])  # the form of p1^2 + p2^2
 
@@ -35,24 +32,18 @@ def _potential(K) -> np.ndarray:
 
 
 def _phase_metric(gq: np.ndarray, gp: np.ndarray) -> np.ndarray:
-    """The 4x4 phase metric from its qq and pp blocks (no q-p entries)."""
-    z = np.zeros((2, 2))
+    """The 4x4 phase metrics from stacks of their qq and pp blocks (no q-p
+    entries)."""
+    z = np.zeros_like(gq)
     return np.block([[gq, z], [z, gp]])
 
 
-_MODE_1 = np.ix_([0, 2], [0, 2])  # (q1, p1) rows and columns
+_MODE_1 = (..., *np.ix_([0, 2], [0, 2]))  # (q1, p1) rows and columns
 
 
 def _reduced_covariance(self, point, qn):
     """Covariance of mode 1 alone: the swap commutes with dropping mode 2."""
     return gauss.quadrature_swap(self._cf_phase_metric(point, qn)[_MODE_1])
-
-
-def _entropy_of_nu(nu: float) -> float:
-    """One-mode Gaussian entropy for symplectic eigenvalue nu (vacuum nu = 1/2)."""
-    if nu <= 0.5:
-        return 0.0
-    return (nu + 0.5) * math.log(nu + 0.5) - (nu - 0.5) * math.log(nu - 0.5)
 
 
 class SymmetricCoupled(Model):
@@ -79,19 +70,16 @@ class SymmetricCoupled(Model):
         "scalar:phase-reduced": "_cf_scalar_phase_reduced",
     }
 
-    def validate(self, point):
+    def _domain(self, point):
         k0, k1 = point.values
-        if k0 <= 0:
-            raise DomainError(f"k0 must be positive, got {k0}")
-        if k0 + 2 * k1 <= 0:
-            raise DomainError(f"k0 + 2 k1 must be positive, got {k0 + 2 * k1}")
-        if not math.isfinite(k0 + 2 * k1):
-            raise DomainError(f"k0 + 2 k1 is out of floating-point range at "
-                              f"k0={k0}, k1={k1}")
+        yield k0 <= 0, lambda: f"k0 must be positive, got {k0}"
+        yield k0 + 2 * k1 <= 0, lambda: f"k0 + 2 k1 must be positive, got {k0 + 2 * k1}"
+        yield (nonfinite(k0 + 2 * k1),
+               lambda: f"k0 + 2 k1 is out of floating-point range at k0={k0}, k1={k1}")
 
     def _freqs(self, point):
         k0, k1 = point.values
-        return math.sqrt(k0), math.sqrt(k0 + 2 * k1)
+        return np.sqrt(k0), np.sqrt(k0 + 2 * k1)
 
     def normal_modes(self, point):
         return NormalModeData(self._freqs(point))
@@ -113,17 +101,18 @@ class SymmetricCoupled(Model):
     def _cf_metric(self, point, qn):
         w1, w2 = self._freqs(point)
         bm, bn = bval(qn[0]), bval(qn[1])
-        return (1 / 32) * np.array([
-            [bm / w1**4 + bn / w2**4, 2 * bn / w2**4],
-            [2 * bn / w2**4, 4 * bn / w2**4],
+        w14, w24 = ipow(w1, 4), ipow(w2, 4)
+        return (1 / 32) * matrix(point.shape, [
+            [bm / w14 + bn / w24, 2 * bn / w24],
+            [2 * bn / w24, 4 * bn / w24],
         ])
 
     def _cf_berry(self, point, qn):
-        return np.zeros((2, 2))
+        return np.zeros(point.shape + (2, 2))
 
     def _cf_det(self, point, qn):
         w1, w2 = self._freqs(point)
-        return bval(qn[0]) * bval(qn[1]) / (256 * w1**4 * w2**4)
+        return bval(qn[0]) * bval(qn[1]) / (256 * ipow(w1, 4) * ipow(w2, 4))
 
     def _c(self, qn):
         return 2 * qn[0] + 1.0, 2 * qn[1] + 1.0
@@ -131,17 +120,17 @@ class SymmetricCoupled(Model):
     def _cf_phase_metric(self, point, qn):
         w1, w2 = self._freqs(point)
         cm, cn = self._c(qn)
-        gq = 0.25 * np.array([[cm * w1 + cn * w2, cm * w1 - cn * w2],
-                              [cm * w1 - cn * w2, cm * w1 + cn * w2]])
-        gp = 0.25 * np.array([[cm / w1 + cn / w2, cm / w1 - cn / w2],
-                              [cm / w1 - cn / w2, cm / w1 + cn / w2]])
+        gq = 0.25 * matrix(point.shape, [[cm * w1 + cn * w2, cm * w1 - cn * w2],
+                                         [cm * w1 - cn * w2, cm * w1 + cn * w2]])
+        gp = 0.25 * matrix(point.shape, [[cm / w1 + cn / w2, cm / w1 - cn / w2],
+                                         [cm / w1 - cn / w2, cm / w1 + cn / w2]])
         return _phase_metric(gq, gp)
 
     def _cf_phase_reduced(self, point, qn):
         w1, w2 = self._freqs(point)
         cm, cn = self._c(qn)
-        return 0.25 * np.array([[cm * w1 + cn * w2, 0.0],
-                                [0.0, cm / w1 + cn / w2]])
+        return 0.25 * matrix(point.shape, [[cm * w1 + cn * w2, 0.0],
+                                           [0.0, cm / w1 + cn / w2]])
 
     _cf_covariance_reduced = _reduced_covariance
 
@@ -152,23 +141,23 @@ class SymmetricCoupled(Model):
     def _cf_nu(self, point, qn):
         self._require_ground(qn, "symplectic_nu")
         w1, w2 = self._freqs(point)
-        return (w1 + w2) / (4 * math.sqrt(w1 * w2))
+        return (w1 + w2) / (4 * np.sqrt(w1 * w2))
 
     def _cf_purity(self, point, qn):
         self._require_ground(qn, "purity")
         w1, w2 = self._freqs(point)
-        return 2 * math.sqrt(w1 * w2) / (w1 + w2)
+        return 2 * np.sqrt(w1 * w2) / (w1 + w2)
 
     def _cf_entropy(self, point, qn):
-        return _entropy_of_nu(self._cf_nu(point, qn))
+        return gauss._entropy_term(self._cf_nu(point, qn))
 
     def _cf_christoffel(self, point, qn):
         k0, k1 = point.values
-        t = np.zeros((2, 2, 2))
-        t[0, 0, 0] = -1 / k0
-        t[1, 0, 0] = k1 / (k0 * (k0 + 2 * k1))
-        t[1, 0, 1] = t[1, 1, 0] = -1 / (k0 + 2 * k1)
-        t[1, 1, 1] = -2 / (k0 + 2 * k1)
+        t = np.zeros(point.shape + (2, 2, 2))
+        t[..., 0, 0, 0] = -1 / k0
+        t[..., 1, 0, 0] = k1 / (k0 * (k0 + 2 * k1))
+        t[..., 1, 0, 1] = t[..., 1, 1, 0] = -1 / (k0 + 2 * k1)
+        t[..., 1, 1, 1] = -2 / (k0 + 2 * k1)
         return t
 
     def _cf_beltrami(self, point, qn):
@@ -176,19 +165,19 @@ class SymmetricCoupled(Model):
         k0, k1 = point.values
         bm, bn = bval(qn[0]), bval(qn[1])
         det = self._cf_det(point, qn)
-        u = math.sqrt(bm * bn / (128 * (bm + bn))) * math.log(det)
-        v = (bm * math.log(k0) - bn * math.log(k0 + 2 * k1)) / math.sqrt(32 * (bm + bn))
-        return np.array([u, v])
+        u = np.sqrt(bm * bn / (128 * (bm + bn))) * np.log(det)
+        v = (bm * np.log(k0) - bn * np.log(k0 + 2 * k1)) / np.sqrt(32 * (bm + bn))
+        return np.stack([u, v], axis=-1)
 
     def _cf_scalar_param(self, point, qn):
-        return 0.0  # flat parameter manifold
+        return full(point, 0.0)  # flat parameter manifold
 
     def _cf_scalar_phase_reduced(self, point, qn):
         self._require_ground(qn, "scalar:phase-reduced")
         w1, w2 = self._freqs(point)
-        return (2 * w1 * (w1 + 3 * w2) / (w2**2 * (w1 + w2) ** 3)
-                - (w1**2 + w1 * w2 + w2**2) * (5 * w1**2 - 8 * w1 * w2 + 5 * w2**2)
-                / (2 * w1**4 * w2**4 * (w1 + w2)))
+        return (2 * w1 * (w1 + 3 * w2) / (w2 * w2 * ipow(w1 + w2, 3))
+                - (w1 * w1 + w1 * w2 + w2 * w2) * (5 * w1 * w1 - 8 * w1 * w2 + 5 * w2 * w2)
+                / (2 * ipow(w1, 4) * ipow(w2, 4) * (w1 + w2)))
 
 
 class LinearCoupled(Model):
@@ -212,34 +201,27 @@ class LinearCoupled(Model):
         "scalar:param": "_cf_scalar_param",
     }
 
-    def validate(self, point):
+    def _domain(self, point):
         A, B, C = point.values
-        if A <= 0:
-            raise DomainError(f"A must be positive, got {A}")
-        if B <= A:
-            raise DomainError(f"need B > A (implemented branch), got A={A}, B={B}")
-        if C < 0:
-            raise DomainError(f"need C >= 0 (implemented branch), got C={C}")
-        if 4 * A * B - C * C <= 0:
-            raise DomainError(f"need 4AB - C^2 > 0, got {4 * A * B - C * C}")
-        if not math.isfinite(4 * A * B - C * C):
-            raise DomainError(f"4AB - C^2 is out of floating-point range at "
-                              f"A={A}, B={B}, C={C}")
-        eps = (B - A) / C if C else 0.0
-        if not math.isfinite(eps * eps):  # the mixing angle squares (B - A)/C
-            raise DomainError(f"((B - A)/C)^2 is out of floating-point range at "
-                              f"A={A}, B={B}, C={C}")
+        yield A <= 0, lambda: f"A must be positive, got {A}"
+        yield B <= A, lambda: f"need B > A (implemented branch), got A={A}, B={B}"
+        yield C < 0, lambda: f"need C >= 0 (implemented branch), got C={C}"
+        disc = 4 * A * B - C * C
+        yield disc <= 0, lambda: f"need 4AB - C^2 > 0, got {disc}"
+        yield (nonfinite(disc),
+               lambda: f"4AB - C^2 is out of floating-point range at A={A}, B={B}, C={C}")
+        eps = _eps(point)  # the mixing angle squares (B - A)/C
+        yield (nonfinite(eps * eps), lambda: "((B - A)/C)^2 is out of floating-point "
+               f"range at A={A}, B={B}, C={C}")
 
     def mixing(self, point):
         """(w1, w2, zeta); zeta = 0 at C = 0 by continuity."""
         A, B, C = point.values
-        if C == 0.0:
-            return math.sqrt(A), math.sqrt(B), 0.0
-        eps = (B - A) / C
-        tz = math.sqrt(eps * eps + 1) - eps
-        w1 = math.sqrt(A - 0.5 * C * tz)
-        w2 = math.sqrt(B + 0.5 * C * tz)
-        return w1, w2, math.atan(tz)
+        eps = _eps(point)
+        tz = np.sqrt(eps * eps + 1) - eps
+        w1 = np.sqrt(A - 0.5 * C * tz)  # C tz = 0 at C = 0
+        w2 = np.sqrt(B + 0.5 * C * tz)
+        return w1, w2, np.arctan(tz) * (C != 0)  # tz = 1 at C = 0
 
     def normal_modes(self, point):
         w1, w2, zeta = self.mixing(point)
@@ -260,53 +242,55 @@ class LinearCoupled(Model):
         return w1 * aval(qn[0]) + w2 * aval(qn[1])
 
     def _cf_metric(self, point, qn):
-        A, B, C = point.values
+        C = point["C"]
         w1, w2, zeta = self.mixing(point)
-        if C == 0.0:
-            eta, phi = 1.0, 0.0
-        else:
-            eps = (B - A) / C
-            r = math.sqrt(eps * eps + 1)
-            eta, phi = eps / r, 1 / r
+        eps = _eps(point)
+        r = np.sqrt(eps * eps + 1)
+        # (eta, phi) = (eps, 1)/r, and (1, 0) at C = 0, where eps = 0 and r = 1
+        eta = eps / r + (C == 0)
+        phi = (1 / r) * (C != 0)
         bm, bn = bval(qn[0]), bval(qn[1])
-        M = 0.25 * np.array([
-            [(1 + eta) ** 2, phi**2, -(1 + eta) * phi],
-            [phi**2, (1 - eta) ** 2, -(1 - eta) * phi],
-            [-(1 + eta) * phi, -(1 - eta) * phi, phi**2],
+        up, dn, phi2 = (1 + eta) * (1 + eta), (1 - eta) * (1 - eta), phi * phi
+        M = 0.25 * matrix(point.shape, [
+            [up, phi2, -(1 + eta) * phi],
+            [phi2, dn, -(1 - eta) * phi],
+            [-(1 + eta) * phi, -(1 - eta) * phi, phi2],
         ])
-        N = 0.25 * np.array([
-            [(1 - eta) ** 2, phi**2, (1 - eta) * phi],
-            [phi**2, (1 + eta) ** 2, (1 + eta) * phi],
-            [(1 - eta) * phi, (1 + eta) * phi, phi**2],
+        N = 0.25 * matrix(point.shape, [
+            [dn, phi2, (1 - eta) * phi],
+            [phi2, up, (1 + eta) * phi],
+            [(1 - eta) * phi, (1 + eta) * phi, phi2],
         ])
-        L = np.array([
-            [phi**2, -phi**2, eta * phi],
-            [-phi**2, phi**2, -eta * phi],
-            [eta * phi, -eta * phi, eta**2],
+        L = matrix(point.shape, [
+            [phi2, -phi2, eta * phi],
+            [-phi2, phi2, -eta * phi],
+            [eta * phi, -eta * phi, eta * eta],
         ])
         coupling = ((w1 / w2 + w2 / w1) * aval(qn[0]) * aval(qn[1]) - 0.5)
-        return (bm / (32 * w1**4) * M + bn / (32 * w2**4) * N
-                + coupling / (4 * (w2**2 - w1**2) ** 2) * L)
+        split = w2 * w2 - w1 * w1
+        return (lift(bm / (32 * ipow(w1, 4))) * M + lift(bn / (32 * ipow(w2, 4))) * N
+                + lift(coupling / (4 * (split * split))) * L)
 
     def _cf_berry(self, point, qn):
-        return np.zeros((3, 3))
+        return np.zeros(point.shape + (3, 3))
 
     def _cf_det(self, point, qn):
         w1, w2, _ = self.mixing(point)
         m, n = qn
+        split = w2 * w2 - w1 * w1
         return (bval(m) * bval(n)
-                * (aval(m) * aval(n) * (w1**2 + w2**2) - w1 * w2 / 2)
-                / (4096 * w1**5 * w2**5 * (w2**2 - w1**2) ** 2))
+                * (aval(m) * aval(n) * (w1 * w1 + w2 * w2) - w1 * w2 / 2)
+                / (4096 * ipow(w1, 5) * ipow(w2, 5) * (split * split)))
 
     def _cf_phase_metric(self, point, qn):
         w1, w2, zeta = self.mixing(point)
         cm, cn = aval(qn[0]), aval(qn[1])
-        c, s = math.cos(zeta), math.sin(zeta)
-        gq = np.array([
+        c, s = np.cos(zeta), np.sin(zeta)
+        gq = matrix(point.shape, [
             [cm * w1 * c * c + cn * w2 * s * s, (cn * w2 - cm * w1) * s * c],
             [(cn * w2 - cm * w1) * s * c, cm * w1 * s * s + cn * w2 * c * c],
         ])
-        gp = np.array([
+        gp = matrix(point.shape, [
             [cm * c * c / w1 + cn * s * s / w2, (cn / w2 - cm / w1) * s * c],
             [(cn / w2 - cm / w1) * s * c, cm * s * s / w1 + cn * c * c / w2],
         ])
@@ -315,7 +299,7 @@ class LinearCoupled(Model):
     def _cf_phase_reduced(self, point, qn):
         g = self._cf_phase_metric(point, qn)
         # (p1p1, q1q1) diagonal, matching the printed reduced metric ordering
-        return np.array([[g[2, 2], 0.0], [0.0, g[0, 0]]])
+        return matrix(point.shape, [[g[..., 2, 2], 0.0], [0.0, g[..., 0, 0]]])
 
     _cf_covariance_reduced = _reduced_covariance
 
@@ -334,33 +318,33 @@ class LinearCoupled(Model):
         if qn != (0, 0):
             raise ValueError("purity closed form covers the ground state only")
         A, B, C = point.values
-        E = math.sqrt(4 * A * B - C * C)
+        E = np.sqrt(4 * A * B - C * C)
         F = A + B + E
-        return math.sqrt(2 * E * F / (2 * E * F + C * C))
+        return np.sqrt(2 * E * F / (2 * E * F + C * C))
 
     def _cf_entropy(self, point, qn):
         """Entropy of the reduced ground state, nu = 1/(2 mu)."""
-        return _entropy_of_nu(0.5 / self._cf_purity(point, qn))
+        return gauss._entropy_term(0.5 / self._cf_purity(point, qn))
 
     def _cf_christoffel(self, point, qn):
         if tuple(qn) != (0, 0):
             raise ValueError("Christoffel table covers the ground state only")
         A, B, C = point.values
-        E = math.sqrt(4 * A * B - C * C)
+        E = np.sqrt(4 * A * B - C * C)
         F = A + B + E
-        t = np.zeros((3, 3, 3))
+        t = np.zeros(point.shape + (3, 3, 3))
 
         def put(i, j, k, v):
-            t[i, j, k] = v
-            t[i, k, j] = v
+            t[..., i, j, k] = v
+            t[..., i, k, j] = v
 
-        put(0, 0, 0, -((2 * B + E) ** 2) / (E * E * F))
+        put(0, 0, 0, -((2 * B + E) * (2 * B + E)) / (E * E * F))
         put(0, 1, 0, -C * C / (2 * E * E * F))
         put(1, 1, 0, -C * C / (2 * E * E * F))
         put(0, 2, 0, C * (3 * B + 2 * E) / (2 * E * E * F))
         put(0, 2, 1, A * C / (2 * E * E * F))
         put(0, 2, 2, -A * (2 * B + E) / (E * E * F))
-        put(1, 1, 1, -((2 * A + E) ** 2) / (E * E * F))
+        put(1, 1, 1, -((2 * A + E) * (2 * A + E)) / (E * E * F))
         put(1, 2, 0, B * C / (2 * E * E * F))
         put(1, 2, 1, C * (3 * A + 2 * E) / (2 * E * E * F))
         put(1, 2, 2, -B * (2 * A + E) / (E * E * F))
@@ -379,14 +363,21 @@ class LinearCoupled(Model):
         if n == 0:
             n = m  # the formula is symmetric under swapping the excited mode
         A, B, C = point.values
-        E = math.sqrt(4 * A * B - C * C)
+        E = np.sqrt(4 * A * B - C * C)
         if n == 0:
-            return -8.0
-        pref = -1.0 / (bval(n) * (2 * n * (A + B) + A + B - E) ** 3)
-        inner = (A**3 * (2 * n + 1) ** 2
+            return full(point, -8.0)
+        pref = -1.0 / (bval(n) * ipow(2 * n * (A + B) + A + B - E, 3))
+        inner = (ipow(A, 3) * (2 * n + 1) ** 2
                  + A * A * (B * (28 * n * (n + 1) + 15) - 3 * (2 * n + 1) * E)
                  - A * (10 * B * (2 * n + 1) * E - B * B * (28 * n * (n + 1) + 15)
                         + C * C * (4 * n * (n + 1) + 3))
                  - 3 * B * B * (2 * n + 1) * E + C * C * (2 * n + 1) * E
-                 + B**3 * (2 * n + 1) ** 2 - B * C * C * (4 * n * (n + 1) + 3))
+                 + ipow(B, 3) * (2 * n + 1) ** 2 - B * C * C * (4 * n * (n + 1) + 3))
         return pref * 4 * (2 * n + 1) * (n * n + n + 2) * inner
+
+
+def _eps(point):
+    """(B - A)/C, and 0 at C = 0, where the modes do not mix. The boolean
+    masks keep C = 0 out of the division, for one point or a batch."""
+    A, B, C = point.values
+    return (B - A) * (C != 0) / (C + (C == 0))

@@ -4,7 +4,9 @@ The state is the ground state of H = p^2/2 + (q - mu)^2 / (2 sigma^4), i.e.
 psi ~ exp(-(q - mu)^2 / (2 sigma^2)), which realizes the two-parameter
 Gaussian wave function with arbitrary functional dependence. Derivatives of
 sigma and mu may be supplied analytically; otherwise central differences at
-h = 1e-5 * max(|lambda|, 1) are used.
+h = 1e-5 * max(|lambda|, 1) are used. sigma, mu and their derivatives are
+plain functions of two floats; over a `ParamBatch` they are called once per
+point.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import DomainError
 from ..fock import quadratics  # noqa: F401  (perfbench instruments it here)
-from .base import Model, NormalModeData, ParamPoint, aval
+from .base import Model, NormalModeData, Points, aval, full, ipow, matrix, nonfinite
 
 Func2 = Callable[[float, float], float]
 
@@ -51,43 +52,38 @@ class GaussianModel(Model):
         self._dsigma = tuple(dsigma) if dsigma is not None else None
         self._dmu = tuple(dmu) if dmu is not None else None
 
-    def validate(self, point):
-        s = self._sigma(*point.values)
-        if not (math.isfinite(s) and s > 0):
-            raise DomainError(f"sigma(lambda) must be positive, got {s}")
-        try:  # the Hamiltonian carries sigma^-4 and the deformations sigma^-5
-            s ** 5 * s ** -5
-        except OverflowError:
-            raise DomainError(f"sigma(lambda) = {s:.3e} puts sigma^5 or sigma^-5 "
-                              "out of floating-point range") from None
-        if not math.isfinite(self._mu(*point.values)):
-            raise DomainError("mu(lambda) must be finite")
+    def _domain(self, point):
+        (s,) = _each([self._sigma], point)
+        yield (s <= 0) | nonfinite(s), lambda: f"sigma(lambda) must be positive, got {s}"
+        # the Hamiltonian carries sigma^-4 and the deformations sigma^-5
+        yield (nonfinite(np.power(s, 5)) | nonfinite(np.power(s, -5)),
+               lambda: f"sigma(lambda) = {s:.3e} puts sigma^5 or sigma^-5 "
+               "out of floating-point range")
+        yield nonfinite(_each([self._mu], point)[0]), lambda: "mu(lambda) must be finite"
 
-    def sigma_mu(self, point: ParamPoint) -> tuple[float, float]:
-        return self._sigma(*point.values), self._mu(*point.values)
+    def sigma_mu(self, point: Points):
+        return _each([self._sigma, self._mu], point)
 
-    def _grad(self, f: Func2, point: ParamPoint) -> np.ndarray:
-        out = np.empty(2)
+    def _grad(self, f: Func2, point: Points) -> np.ndarray:
+        out = []
         for i in range(2):
-            h = _FD_REL * max(abs(point.values[i]), 1.0)
-            out[i] = (f(*point.shifted(i, +h).values)
-                      - f(*point.shifted(i, -h).values)) / (2 * h)
-        return out
+            h = _FD_REL * np.maximum(np.abs(point.values[i]), 1.0)
+            (up,), (dn,) = _each([f], point.shifted(i, +h)), _each([f], point.shifted(i, -h))
+            out.append((up - dn) / (2 * h))
+        return np.array(out)
 
-    def gradients(self, point: ParamPoint) -> tuple[np.ndarray, np.ndarray]:
-        """(d sigma/d lambda_i, d mu/d lambda_i), analytic when supplied."""
-        if self._dsigma is not None:
-            ds = np.array([d(*point.values) for d in self._dsigma])
-        else:
-            ds = self._grad(self._sigma, point)
-        if self._dmu is not None:
-            dm = np.array([d(*point.values) for d in self._dmu])
-        else:
-            dm = self._grad(self._mu, point)
+    def gradients(self, point: Points) -> tuple[np.ndarray, np.ndarray]:
+        """(d sigma/d lambda_i, d mu/d lambda_i), analytic when supplied;
+        each of shape (2, *point.shape)."""
+        ds = _each(self._dsigma, point) if self._dsigma is not None \
+            else self._grad(self._sigma, point)
+        dm = _each(self._dmu, point) if self._dmu is not None \
+            else self._grad(self._mu, point)
         return ds, dm
 
-    def frequency(self, point: ParamPoint) -> float:
-        return 1.0 / self._sigma(*point.values) ** 2
+    def frequency(self, point: Points):
+        (s,) = _each([self._sigma], point)
+        return 1.0 / (s * s)
 
     def normal_modes(self, point):
         return NormalModeData((self.frequency(point),))
@@ -120,23 +116,21 @@ class GaussianModel(Model):
 
     def _cf_metric(self, point, qn):
         self._require_ground(qn)
-        s, _ = self.sigma_mu(point)
+        (s,) = _each([self._sigma], point)
         ds, dm = self.gradients(point)
-        g = np.empty((2, 2))
-        for i in range(2):
-            for j in range(2):
-                g[i, j] = (ds[i] * ds[j] + dm[i] * dm[j]) / (2 * s * s)
-        return g
+        return matrix(point.shape, [[(ds[i] * ds[j] + dm[i] * dm[j]) / (2 * s * s)
+                                     for j in range(2)] for i in range(2)])
 
     def _cf_berry(self, point, qn):
         self._require_ground(qn)
-        return np.zeros((2, 2))  # real wave function: no Berry part
+        return np.zeros(point.shape + (2, 2))  # real wave function: no Berry part
 
     def _cf_det(self, point, qn):
         self._require_ground(qn)
-        s, _ = self.sigma_mu(point)
+        (s,) = _each([self._sigma], point)
         ds, dm = self.gradients(point)
-        return (ds[0] * dm[1] - ds[1] * dm[0]) ** 2 / (4 * s**4)
+        cross = ds[0] * dm[1] - ds[1] * dm[0]
+        return cross * cross / (4 * ipow(s, 4))
 
     def _cf_ricci(self, point, qn):
         # 2D Einstein relation with R = -4: R_ij = -2 g_ij
@@ -144,11 +138,18 @@ class GaussianModel(Model):
 
     def _cf_scalar(self, point, qn):
         self._require_ground(qn)
-        return -4.0
+        return full(point, -4.0)
 
     def _cf_phase_metric(self, point, qn):
         w = self.frequency(point)
-        return aval(qn[0]) * np.array([[w, 0.0], [0.0, 1.0 / w]])
+        return aval(qn[0]) * matrix(point.shape, [[w, 0.0], [0.0, 1.0 / w]])
+
+
+def _each(functions: Sequence[Func2], point: Points) -> np.ndarray:
+    """Each function at every point of a point or batch, as a
+    (len(functions), *point.shape) array."""
+    values = [[f(*row) for row in point.rows] for f in functions]
+    return np.array(values).reshape((len(functions),) + point.shape)
 
 
 def default_gaussian() -> GaussianModel:

@@ -14,9 +14,9 @@ import math
 
 import numpy as np
 
-from ..errors import DomainError
 from ..fock import quadratics  # noqa: F401  (perfbench instruments it here)
-from .base import Model, NormalModeData, ParamPoint, aval, bval
+from .base import (Model, NormalModeData, ParamPoint, aval, bval, check_domain,
+                   full, ipow, lift, matrix, nonfinite)
 
 
 def _xyz_derivatives() -> list:
@@ -26,23 +26,25 @@ def _xyz_derivatives() -> list:
             for dM in ([[1, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 0], [0, 1]])]
 
 
-def _omega(X, Y, Z):
+def _oscillator_domain(X, Y, Z):
     disc = X * Z - Y * Y
-    if disc <= 0 or Z <= 0:
-        raise DomainError(f"need Z > 0 and XZ - Y^2 > 0, got Z={Z}, XZ-Y^2={disc}")
-    if not math.isfinite(disc):
-        raise DomainError(f"XZ - Y^2 is out of floating-point range at "
-                          f"X={X}, Y={Y}, Z={Z}")
-    return math.sqrt(disc)
+    yield ((disc <= 0) | (Z <= 0),
+           lambda: f"need Z > 0 and XZ - Y^2 > 0, got Z={Z}, XZ-Y^2={disc}")
+    yield (nonfinite(disc),
+           lambda: f"XZ - Y^2 is out of floating-point range at X={X}, Y={Y}, Z={Z}")
+
+
+def _omega(X, Y, Z):
+    return np.sqrt(X * Z - Y * Y)
 
 
 def _phase_metric(X, Y, Z, n):
     """Re of the phase-space QGT block of level n, (a_n / w) [[X, Y], [Y, Z]]."""
-    return (aval(n) / _omega(X, Y, Z)) * np.array([[X, Y], [Y, Z]])
+    return lift(aval(n) / _omega(X, Y, Z)) * matrix(np.shape(X), [[X, Y], [Y, Z]])
 
 
-# the index of a 3x3 array's 2x2 block without row and column k, k = 0, 1, 2
-_SUB_BLOCKS = tuple(np.ix_(keep, keep) for keep in ([1, 2], [0, 2], [0, 1]))
+# the index of a stack of 3x3 arrays' 2x2 blocks without row and column k
+_SUB_BLOCKS = tuple((..., *np.ix_(keep, keep)) for keep in ([1, 2], [0, 2], [0, 1]))
 
 
 class GeneralizedOscillator(Model):
@@ -66,8 +68,8 @@ class GeneralizedOscillator(Model):
         "scalar:phase:YZ": "_cf_scalar_pq_yz",
     }
 
-    def validate(self, point):
-        _omega(point["X"], point["Y"], point["Z"])
+    def _domain(self, point):
+        return _oscillator_domain(point["X"], point["Y"], point["Z"])
 
     def quadratic_form(self, point):
         X, Y, Z = point.values
@@ -87,7 +89,7 @@ class GeneralizedOscillator(Model):
     def _cf_metric(self, point, qn):
         X, Y, Z = point.values
         w = _omega(X, Y, Z)
-        return (bval(qn[0]) / (32 * w**4)) * np.array([
+        return lift(bval(qn[0]) / (32 * ipow(w, 4))) * matrix(point.shape, [
             [Z * Z, -2 * Y * Z, -X * Z + 2 * Y * Y],
             [-2 * Y * Z, 4 * Z * X, -2 * Y * X],
             [-X * Z + 2 * Y * Y, -2 * Y * X, X * X],
@@ -96,7 +98,7 @@ class GeneralizedOscillator(Model):
     def _cf_berry(self, point, qn):
         X, Y, Z = point.values
         w = _omega(X, Y, Z)
-        return (aval(qn[0]) / (-4 * w**3)) * np.array([
+        return lift(aval(qn[0]) / (-4 * ipow(w, 3))) * matrix(point.shape, [
             [0.0, Z, -Y],
             [-Z, 0.0, X],
             [Y, -X, 0.0],
@@ -119,27 +121,28 @@ class GeneralizedOscillator(Model):
 
     def _cf_scalar_param(self, point, qn):
         # same constant for the X-, Y- or Z-fixed two-parameter submanifold
-        return -16.0 / bval(qn[0])
+        return full(point, -16.0 / bval(qn[0]))
 
     def _cf_scalar_pq_xy(self, point, qn):
         X, Y, Z = point.values
         w = _omega(X, Y, Z)
         t = 2 * qn[0] + 1
         return -(4 * X * X * Z + 8 * X * Y * Y + 6 * X * Z * Z
-                 + 6 * Y * Y * Z + 3 * Z**3) / (2 * t * w**5)
+                 + 6 * Y * Y * Z + 3 * ipow(Z, 3)) / (2 * t * ipow(w, 5))
 
     def _cf_scalar_pq_xz(self, point, qn):
         X, Y, Z = point.values
         w = _omega(X, Y, Z)
         t = 2 * qn[0] + 1
-        return (-3 * X**3 + 4 * X * Y * Z + 2 * Y**3 - 3 * Z**3) / (2 * t * w**5)
+        return ((-3 * ipow(X, 3) + 4 * X * Y * Z + 2 * ipow(Y, 3) - 3 * ipow(Z, 3))
+                / (2 * t * ipow(w, 5)))
 
     def _cf_scalar_pq_yz(self, point, qn):
         X, Y, Z = point.values
         w = _omega(X, Y, Z)
         t = 2 * qn[0] + 1
-        return -(3 * X**3 + 6 * X * X * Z + 6 * X * Y * Y
-                 + 4 * X * Z * Z + 8 * Y * Y * Z) / (2 * t * w**5)
+        return -(3 * ipow(X, 3) + 6 * X * X * Z + 6 * X * Y * Y
+                 + 4 * X * Z * Z + 8 * Y * Y * Z) / (2 * t * ipow(w, 5))
 
     def palumbo_residual(self, point: ParamPoint) -> float:
         """Max relative residual of F_ij = -2 eps_ijk sqrt(det g[k]), ground state.
@@ -180,8 +183,8 @@ class GeneralizedOscillatorLinear(Model):
         "scalar:param-z1": "_cf_scalar_z1",
     }
 
-    def validate(self, point):
-        _omega(point["X"], point["Y"], point["Z"])
+    def _domain(self, point):
+        return _oscillator_domain(point["X"], point["Y"], point["Z"])
 
     def quadratic_form(self, point):
         W, X, Y, Z = point.values
@@ -204,40 +207,40 @@ class GeneralizedOscillatorLinear(Model):
         w = _omega(X, Y, Z)
         a, b = aval(qn[0]), bval(qn[0])
         w2 = w * w
-        m1 = np.array([
-            [Z * w2**2, -W * Z * Z * w2, 2 * W * Y * Z * w2, -W * Y * Y * w2],
-            [-W * Z * Z * w2, W * W * Z**3, -2 * W * W * Y * Z * Z, W * W * Y * Y * Z],
+        m1 = matrix(point.shape, [
+            [Z * (w2 * w2), -W * Z * Z * w2, 2 * W * Y * Z * w2, -W * Y * Y * w2],
+            [-W * Z * Z * w2, W * W * ipow(Z, 3), -2 * W * W * Y * Z * Z, W * W * Y * Y * Z],
             [2 * W * Y * Z * w2, -2 * W * W * Y * Z * Z,
              W * W * Z * (3 * Y * Y + X * Z), -W * W * Y * (Y * Y + X * Z)],
             [-W * Y * Y * w2, W * W * Y * Y * Z,
              -W * W * Y * (Y * Y + X * Z), W * W * X * Y * Y],
         ])
-        m2 = np.array([
+        m2 = matrix(point.shape, [
             [0.0, 0, 0, 0],
             [0, Z * Z, -2 * Y * Z, 2 * Y * Y - X * Z],
             [0, -2 * Y * Z, 4 * X * Z, -2 * X * Y],
             [0, 2 * Y * Y - X * Z, -2 * X * Y, X * X],
         ])
-        return (a / w**7) * m1 + (b / (32 * w**4)) * m2
+        return lift(a / ipow(w, 7)) * m1 + lift(b / (32 * ipow(w, 4))) * m2
 
     def _cf_berry(self, point, qn):
         W, X, Y, Z = point.values
         w = _omega(X, Y, Z)
         a = aval(qn[0])
         w2 = w * w
-        f1 = np.array([
+        f1 = matrix(point.shape, [
             [0.0, 0, 0, 0],
             [0, 0, -Z, Y],
             [0, Z, 0, -X],
             [0, -Y, X, 0],
         ])
-        f2 = np.array([
+        f2 = matrix(point.shape, [
             [0.0, 0, W * Z * w2, -W * Y * w2],
             [0, 0, -W * W * Z * Z, W * W * Y * Z],
             [-W * Z * w2, W * W * Z * Z, 0, -W * W * Y * Y],
             [W * Y * w2, -W * W * Y * Z, W * W * Y * Y, 0],
         ])
-        return (a / (4 * w**3)) * f1 + f2 / w**6
+        return lift(a / (4 * ipow(w, 3))) * f1 + f2 / lift(ipow(w, 6))
 
     def _cf_phase_metric(self, point, qn):
         # blind to the linear term: identical to the W = 0 oscillator block
@@ -247,29 +250,27 @@ class GeneralizedOscillatorLinear(Model):
     # -- Z = 1 slice over (W, X, Y) ------------------------------------------
 
     def _z1_coords(self, point):
-        W, X, Y, Z = point.values
-        if abs(Z - 1.0) > 1e-12:
-            raise DomainError("the reduced closed forms fix Z = 1")
-        return W, X, Y
+        check_domain(point, _on_z1_slice)
+        return point.values[:3]
 
     def _cf_metric_z1(self, point, qn):
         W, X, Y = self._z1_coords(point)
-        w = math.sqrt(X - Y * Y)
+        w = np.sqrt(X - Y * Y)
         a, b = aval(qn[0]), bval(qn[0])
         w2 = w * w
-        m1 = np.array([
-            [w2**2, -W * w2, 2 * W * Y * w2],
+        m1 = matrix(point.shape, [
+            [w2 * w2, -W * w2, 2 * W * Y * w2],
             [-W * w2, W * W, -2 * W * W * Y],
             [2 * W * Y * w2, -2 * W * W * Y, W * W * (3 * Y * Y + X)],
         ])
-        m2 = np.array([[0.0, 0, 0], [0, 1, -2 * Y], [0, -2 * Y, 4 * X]])
-        return (a / w**7) * m1 + (b / (32 * w**4)) * m2
+        m2 = matrix(point.shape, [[0.0, 0, 0], [0, 1, -2 * Y], [0, -2 * Y, 4 * X]])
+        return lift(a / ipow(w, 7)) * m1 + lift(b / (32 * ipow(w, 4))) * m2
 
     def _cf_berry_z1(self, point, qn):
         # the (W, X, Y) submatrix of the full Berry curvature at Z = 1; the
         # source's standalone display of this block carries a spurious 1/2
         # on the a_n term (its own full-matrix form is authoritative)
-        return self._cf_berry(point, qn)[:3, :3]
+        return self._cf_berry(point, qn)[..., :3, :3]
 
     def _cf_det_z1(self, point, qn):
         W, X, Y = self._z1_coords(point)
@@ -277,63 +278,75 @@ class GeneralizedOscillatorLinear(Model):
         w2 = X - Y * Y
         b = bval(n)
         return ((2 * n**3 + 3 * n * n + 3 * n + 1)
-                * (b * w2**1.5 + (8 * n + 4) * W * W)) / (512 * w2**6)
+                * (b * (w2 * np.sqrt(w2)) + (8 * n + 4) * W * W)) / (512 * ipow(w2, 6))
 
     def _cf_scalar_z1(self, point, qn):
         W, X, Y = self._z1_coords(point)
         a, b = aval(qn[0]), bval(qn[0])
-        w3 = (X - Y * Y) ** 1.5
-        return (-4 * (64 * a * a * W**4 + 40 * a * b * W * W * w3 + 7 * b * b * w3 * w3)
-                / (b * (8 * a * W * W + b * w3) ** 2))
+        w2 = X - Y * Y
+        w3 = w2 * np.sqrt(w2)
+        D = 8 * a * W * W + b * w3
+        return (-4 * (64 * a * a * ipow(W, 4) + 40 * a * b * W * W * w3 + 7 * b * b * w3 * w3)
+                / (b * (D * D)))
 
     def _cf_christoffel_z1(self, point, qn):
         """Gamma^i_jk on the Z = 1 slice, coordinates (W, X, Y); NaN where the
         source table leaves an entry untabulated (it vanishes at Y = 0)."""
         W, X, Y = self._z1_coords(point)
         a, b = aval(qn[0]), bval(qn[0])
-        w = math.sqrt(X - Y * Y)
-        D = 8 * a * W * W + b * w**3
-        t = np.full((3, 3, 3), np.nan)
+        w = np.sqrt(X - Y * Y)
+        w3, w4, w5, w7 = (ipow(w, k) for k in (3, 4, 5, 7))
+        D = 8 * a * W * W + b * w3
+        t = np.full(point.shape + (3, 3, 3), np.nan)
 
         def put(i, j, k, v):
-            t[i, j, k] = v
-            t[i, k, j] = v
+            t[..., i, j, k] = v
+            t[..., i, k, j] = v
 
-        put(0, 0, 0, -8 * a * W / (b * w**3))
-        put(1, 1, 0, 8 * a * W / (b * w**3))
-        put(0, 1, 0, 8 * a * W * W / (b * w**5) - 3 / (4 * w * w))
-        put(0, 1, 1, W / (2 * w**4) - 8 * a * W**3 / (b * w**7))
-        put(0, 2, 0, 3 * Y / (2 * w * w) - 16 * a * W * W * Y / (b * w**5))
-        put(0, 2, 1, W * Y * (16 * a * W * W - b * w**3) / (b * w**7))
+        put(0, 0, 0, -8 * a * W / (b * w3))
+        put(1, 1, 0, 8 * a * W / (b * w3))
+        put(0, 1, 0, 8 * a * W * W / (b * w5) - 3 / (4 * w * w))
+        put(0, 1, 1, W / (2 * w4) - 8 * a * ipow(W, 3) / (b * w7))
+        put(0, 2, 0, 3 * Y / (2 * w * w) - 16 * a * W * W * Y / (b * w5))
+        put(0, 2, 1, W * Y * (16 * a * W * W - b * w3) / (b * w7))
         put(1, 0, 0, -8 * a / (b * w))
-        put(1, 1, 1, -1 / (w * w) - 8 * a * W * W / (b * w**5))
-        put(1, 2, 0, -128 * a * a * W**3 * Y / (b * w * w * (8 * a * W * W * w + b * w**4)))
+        put(1, 1, 1, -1 / (w * w) - 8 * a * W * W / (b * w5))
+        put(1, 2, 0, -128 * a * a * ipow(W, 3) * Y / (b * w * w * (8 * a * W * W * w + b * w4)))
         put(2, 2, 0, 8 * a * W / D)
-        put(2, 2, 1, (-20 * a * W * W - b * w**3) / (2 * w * w * D))
-        put(2, 2, 2, 2 * Y * (20 * a * W * W + b * w**3) / (w * w * D))
-        put(1, 2, 1, Y * (128 * a * a * W**4 * w + 12 * a * b * W * W * w**4 + b * b * w**7)
-            / (b * w**5 * (8 * a * W * W * w + b * w**4)))
+        put(2, 2, 1, (-20 * a * W * W - b * w3) / (2 * w * w * D))
+        put(2, 2, 2, 2 * Y * (20 * a * W * W + b * w3) / (w * w * D))
+        put(1, 2, 1, Y * (128 * a * a * ipow(W, 4) * w + 12 * a * b * W * W * w4 + b * b * w7)
+            / (b * w5 * (8 * a * W * W * w + b * w4)))
         put(1, 2, 2, 8 * a * W * W * (8 * a * W * W * (X - 5 * Y * Y) * w
-                                      + b * w**4 * (X + Y * Y))
-            / (b * w**5 * (8 * a * W * W * w + b * w**4)))
-        put(0, 2, 2, 8 * a * W**3 * (X - 5 * Y * Y) / (b * w**7)
-            + W * (X + Y * Y) / w**4)
+                                      + b * w4 * (X + Y * Y))
+            / (b * w5 * (8 * a * W * W * w + b * w4)))
+        put(0, 2, 2, 8 * a * ipow(W, 3) * (X - 5 * Y * Y) / (b * w7)
+            + W * (X + Y * Y) / w4)
         return t
 
     def _cf_ricci_z1(self, point, qn):
         W, X, Y = self._z1_coords(point)
         a, b = aval(qn[0]), bval(qn[0])
-        w = math.sqrt(X - Y * Y)
-        D = 8 * a * W * W + b * w**3
-        R = np.empty((3, 3))
-        R[0, 0] = 2 * a * (8 * a * W * W - 3 * b * w**3) / D**2
-        R[1, 0] = R[0, 1] = 8 * a * W * (2 * a * W * W + b * w**3) / (w * D) ** 2
-        R[1, 1] = (-896 * a * a * W**4 * w - 224 * a * b * W * W * w**4
-                   - 5 * b * b * w**7) / (16 * w**5 * D**2)
-        R[2, 0] = R[0, 2] = -16 * a * W * Y * (2 * a * W * W + b * w**3) / (w * w * D**2)
-        R[2, 1] = R[1, 2] = -Y * (-896 * a * a * W**4 - 224 * a * b * W * W * w**3
-                                  - 5 * b * b * w**6) / (8 * w**4 * D**2)
-        R[2, 2] = (-64 * a * a * W**4 * (3 * X + 11 * Y * Y)
-                   - 8 * a * b * W * W * (9 * X + 19 * Y * Y) * w**3
-                   - b * b * (6 * X - Y * Y) * w**6) / (4 * w**4 * D**2)
+        w = np.sqrt(X - Y * Y)
+        w3, w4, w5, w6, w7 = (ipow(w, k) for k in (3, 4, 5, 6, 7))
+        W4 = ipow(W, 4)
+        D = 8 * a * W * W + b * w3
+        D2 = D * D
+        R = np.empty(point.shape + (3, 3))
+        R[..., 0, 0] = 2 * a * (8 * a * W * W - 3 * b * w3) / D2
+        R[..., 1, 0] = R[..., 0, 1] = (8 * a * W * (2 * a * W * W + b * w3)
+                                       / ((w * D) * (w * D)))
+        R[..., 1, 1] = (-896 * a * a * W4 * w - 224 * a * b * W * W * w4
+                        - 5 * b * b * w7) / (16 * w5 * D2)
+        R[..., 2, 0] = R[..., 0, 2] = (-16 * a * W * Y * (2 * a * W * W + b * w3)
+                                       / (w * w * D2))
+        R[..., 2, 1] = R[..., 1, 2] = (-Y * (-896 * a * a * W4 - 224 * a * b * W * W * w3
+                                             - 5 * b * b * w6) / (8 * w4 * D2))
+        R[..., 2, 2] = (-64 * a * a * W4 * (3 * X + 11 * Y * Y)
+                        - 8 * a * b * W * W * (9 * X + 19 * Y * Y) * w3
+                        - b * b * (6 * X - Y * Y) * w6) / (4 * w4 * D2)
         return R
+
+
+def _on_z1_slice(point):
+    yield abs(point["Z"] - 1.0) > 1e-12, lambda: "the reduced closed forms fix Z = 1"

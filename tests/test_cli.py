@@ -559,7 +559,7 @@ assert cli.main(["curvature", "--model", "lin-coupled", "--point", "1,2,1",
                  "--out", sys.argv[2]]) == 0
 assert cli.main(["sweep", "--model", "gho-linear", "--axis", "Y=-0.4:0.4:3",
                  "--fix", "W=1", "--fix", "X=1", "--fix", "Z=1", "--n", "1",
-                 "--quantities", "det_metric,nu,scalar", "--out", sys.argv[2]]) == 0
+                 "--quantities", "det_metric,nu,scalar:param-z1", "--out", sys.argv[2]]) == 0
 cold = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 model = get_model("gho")
@@ -581,8 +581,52 @@ def test_scipy_loads_on_the_first_eigensolve(tmp_path, kind):
     report = json.loads(done.stdout)
     assert report["cold"] == []  # import, geometry, gauss, curvature, sweep
     assert not report["before"] and report["after"]
+    # the one-mode sweep completed its rows, so the guard covers them
+    _, rows = parse_csv((tmp_path / "out.csv").read_text())
+    assert len(rows) == 3 and not any(row.get("error") for row in rows)
+    assert all(float(row["scalar:param-z1"]) < 0 for row in rows)
     from qgeom import fock, get_model
     model = get_model("gho")
     op = model.hamiltonian(model.point(2.0, 0.5, 1.0), fock.basis(1, 20))
     expected = fock.eigh(op, lowest=3 if kind == "window" else None).energies
     np.testing.assert_allclose(report["energies"], expected, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("which, real", [("phase_qgt", "phase_metric"), ("qgt", "metric")])
+def test_curvature_of_a_complex_quantity_exit_2(capsys, which, real):
+    # its curvature used to be that of its real part, with a ComplexWarning
+    assert main(["curvature", "--model", "gaussian", "--point", "0.3,0.2",
+                 "--which", which]) == 2
+    err = capsys.readouterr().err
+    assert f"{which} is complex-valued; use its real part, {real}" in err
+
+
+CATALOG_POINTS = {"gho": "2,0.5,1", "gho-linear": "0.8,1.7,0.6,1", "sym-coupled": "1,0.8",
+                  "lin-coupled": "1,2,1", "gaussian": "0.3,0.2"}
+
+
+def _catalog_quantities():
+    from qgeom import MODEL_NAMES, get_model
+    return [(name, q) for name in MODEL_NAMES for q in get_model(name).closed_quantities()]
+
+
+@pytest.mark.parametrize("name, quantity", _catalog_quantities())
+def test_curvature_of_every_closed_quantity_exits_0_2_or_3(capsys, name, quantity):
+    # the broadcasting catalog behind `curvature --which`: a result, a usage
+    # or domain error, or a numerical failure, never a crash
+    from qgeom import get_model
+    code = main(["curvature", "--model", name, "--point", CATALOG_POINTS[name],
+                 "--which", quantity, "--no-header-timestamp"])
+    assert code in (0, 2, 3)
+    value = get_model(name).closed_form(
+        quantity, get_model(name).point(*map(float, CATALOG_POINTS[name].split(","))),
+        (0,) * get_model(name).dof)
+    if np.ndim(value) != 2:  # not a matrix: named by its shape
+        dim = len(get_model(name).param_names)
+        expected = f"{quantity} is of shape {np.shape(value)} but the field has {dim} coordinates"
+        if (name, quantity) in (("gho-linear", "christoffel"), ("gho-linear", "metric_det"),
+                                ("gho-linear", "scalar:param-z1")):
+            # Z = 1 slice forms, and the stencil leaves the slice
+            expected = "domain error: the reduced closed forms fix Z = 1 (at "
+        assert code == 2
+        assert expected in capsys.readouterr().err

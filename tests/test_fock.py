@@ -158,7 +158,7 @@ def test_weyl_dimension_mismatch():
 
 def test_quadratics_match_products():
     # each pair monomial, written from a unit form entry, is the Weyl product
-    # of the q and p that `quadratics` writes as linear forms
+    # of the q and p that `quadratics` returns
     for fb in (fock.basis(1, 5, 0.8), fock.basis(2, 5, (0.8, 1.7))):
         r = [dense(op) for op in fock.quadratics(fb)] + [np.eye(fb.dim)]
         keys = [key for key in fock.monomials(fb.modes, fb.cutoff).index
@@ -167,6 +167,18 @@ def test_quadratics_match_products():
             i, j = _position(key, fb.modes)
             np.testing.assert_allclose(dense(op), weyl_product(r[i], r[j]), atol=1e-13,
                                        err_msg=str(key))
+
+
+@pytest.mark.parametrize("modes,frequencies", [(1, (0.7,)), (2, (0.8, 1.7)), (2, (2.1, 0.45))])
+def test_quadratics_equal_their_linear_forms_bitwise(modes, frequencies):
+    # the one-hot operators are those form_operators writes for each r_i
+    fb = fock.basis(modes, 6, frequencies)
+    forms = [(None, row, 0.0) for row in np.eye(2 * modes)]
+    for got, want in zip(fock.quadratics(fb), fock.form_operators(fb, forms), strict=True):
+        assert got.monomials is want.monomials
+        assert got.coeffs.dtype == want.coeffs.dtype
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert got.data().tobytes() == want.data().tobytes()
 
 
 @pytest.mark.parametrize("modes,frequencies", [

@@ -10,22 +10,42 @@ from qgeom.errors import DomainError, NumericalError
 from qgeom.models import get_model
 
 
-def sphere_field():
+def constant_field(matrix):
+    """A field whose value is `matrix` at every point of the stack."""
+    matrix = np.array(matrix, dtype=float)
     return geometry.MetricField(
-        2, lambda x: np.array([[1.0, 0.0], [0.0, math.sin(x[0]) ** 2]]))
+        len(matrix), lambda x: np.broadcast_to(matrix, (len(x),) + matrix.shape))
+
+
+def sphere_metrics(x, scale=1.0):
+    """(P, 2, 2): the round metric diag(1, sin^2 theta) at each (theta, phi)."""
+    g = np.zeros((len(x), 2, 2))
+    g[:, 0, 0] = scale
+    g[:, 1, 1] = scale * np.sin(x[:, 0]) ** 2
+    return g
+
+
+def sphere_field():
+    return geometry.MetricField(2, sphere_metrics)
 
 
 def euclidean_field(dim):
-    return geometry.MetricField(dim, lambda x: np.eye(dim))
+    return constant_field(np.eye(dim))
 
 
 def test_field_validates_shape_and_symmetry():
-    bad = geometry.MetricField(2, lambda x: np.array([[1.0, 0.2], [0.1, 1.0]]))
+    bad = constant_field([[1.0, 0.2], [0.1, 1.0]])
     with pytest.raises(NumericalError):
         bad(np.array([0.0, 0.0]))
-    wrong = geometry.MetricField(2, lambda x: np.eye(3))
-    with pytest.raises(ValueError):
+    wrong = dataclasses.replace(constant_field(np.eye(3)), dim=2)
+    with pytest.raises(ValueError, match="metric is 3x3 but the field has 2 coordinates"):
         wrong(np.array([0.0, 0.0]))
+    # a per-point function breaks the stack contract, and says so
+    per_point = geometry.MetricField(2, lambda x: np.eye(2))
+    with pytest.raises(ValueError, match=r"returned shape \(2, 2\) for 1 points"):
+        per_point(np.array([0.0, 0.0]))
+    with pytest.raises(NumericalError, match=r"metric is not finite at \[0.0, 0.0\]"):
+        constant_field([[1.0, 0.0], [0.0, np.nan]])(np.array([0.0, 0.0]))
 
 
 def test_euclidean_is_flat():
@@ -71,7 +91,7 @@ def test_scalar_2d_requires_2d():
 
 
 def test_singular_metric_rejected():
-    f = geometry.MetricField(2, lambda x: np.array([[1.0, 1.0], [1.0, 1.0]]))
+    f = constant_field([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(NumericalError):
         geometry.ricci_scalar(f, np.array([1.0, 1.0]))
     # the full oscillator parameter metric is exactly singular
@@ -307,11 +327,13 @@ def test_oscillator_curvature_on_draw_edge():
 
 
 def counting(field):
-    """The field with its func wrapped by a per-point call counter."""
+    """The field with its func wrapped by a per-point counter; seen[None]
+    counts the calls."""
     seen = collections.Counter()
 
     def func(x):
-        seen[x.tobytes()] += 1
+        seen[None] += 1
+        seen.update(row.tobytes() for row in x)
         return field.func(x)
 
     return dataclasses.replace(field, func=func), seen
@@ -330,6 +352,7 @@ def test_each_stencil_point_evaluated_once(call, model, which, qn, kw, x, evals)
     # without the per-call table these take 52, 100, 61 and 42 evaluations
     f, seen = counting(geometry.metric_field(get_model(model), which, qn, **kw))
     call(f, np.array(x))
+    assert seen.pop(None) == 1  # the whole stencil is one call
     assert max(seen.values()) == 1
     assert sum(seen.values()) == evals
 
@@ -337,8 +360,7 @@ def test_each_stencil_point_evaluated_once(call, model, which, qn, kw, x, evals)
 def test_calls_share_no_table():
     # g -> c g scales R by 1/c; a second call must see the changed func
     scale = [1.0]
-    f = geometry.MetricField(
-        2, lambda x: scale[0] * np.array([[1.0, 0.0], [0.0, math.sin(x[0]) ** 2]]))
+    f = geometry.MetricField(2, lambda x: sphere_metrics(x, scale[0]))
     x = np.array([0.9, 0.2])
     _, first = geometry.ricci_scalar(f, x)
     direct = geometry.scalar_2d_direct(f, x)
@@ -402,14 +424,20 @@ def _reference_cases():
 
 
 def _recorded(field):
-    """The field with its func logging each point it is called at."""
-    log = []
+    """The field with its func logging each point it is called at, and the
+    number of calls as log.calls."""
+    log = _Log()
 
     def func(x):
-        log.append(x.tobytes())
+        log.calls += 1
+        log.extend(row.tobytes() for row in x)
         return field.func(x)
 
     return dataclasses.replace(field, func=func), log
+
+
+class _Log(list):
+    calls = 0
 
 
 @pytest.mark.parametrize("field, x", _reference_cases())
@@ -430,6 +458,7 @@ def test_engine_matches_per_point_reference(field, x):
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b, err_msg=call.__name__)
         assert new_log == old_log, call.__name__
+        assert new_log.calls == 1, call.__name__  # the reference: one per point
 
 
 def _parts(result):
@@ -457,11 +486,11 @@ def test_engine_errors_match_reference(call):
     f = geometry.metric_field(get_model("gho"), "metric_sub:Z", (0,), coords=("X", "Y"),
                               fixed={"Z": 1.0})
     assert isinstance(_reference_error(call, f, [1.0, 1.0 - 1e-6]), DomainError)
-    singular = geometry.MetricField(2, lambda x: np.array([[1.0, 1.0], [1.0, 1.0]]))
+    singular = constant_field([[1.0, 1.0], [1.0, 1.0]])
     if call is geometry.scalar_2d_direct:
         err = _reference_error(call, singular, [1.0, 1.0])
         assert "determinant" in str(err)
-        flat_g11 = geometry.MetricField(2, lambda x: np.array([[0.0, 1.0], [1.0, 0.0]]))
+        flat_g11 = constant_field([[0.0, 1.0], [1.0, 0.0]])
         err = _reference_error(call, flat_g11, [1.0, 1.0])
         assert isinstance(err, NumericalError) and "g11 vanishes" in str(err)
         return
@@ -469,8 +498,13 @@ def test_engine_errors_match_reference(call):
     assert isinstance(err, NumericalError) and "singular" in str(err)
     if call is not geometry.christoffel:
         # g22 vanishes only at the center x - h_0 e_0, which both name
-        kink = geometry.MetricField(
-            2, lambda x: np.array([[1.0, 0.0], [0.0, max(x[0] - 1.0, 0.0)]]))
+        def kinked(x):
+            g = np.zeros((len(x), 2, 2))
+            g[:, 0, 0] = 1.0
+            g[:, 1, 1] = np.maximum(x[:, 0] - 1.0, 0.0)
+            return g
+
+        kink = geometry.MetricField(2, kinked)
         err = _reference_error(call, kink, [1.0 + 1e-4, 1.0])
         assert "vanishing diagonal" in str(err)
 

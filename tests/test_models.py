@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -445,3 +446,139 @@ def test_ghol_reduced_berry_matches_full():
     full = model.closed_form("berry", point, (1,))
     reduced = model.closed_form("berry_z1", point, (1,))
     np.testing.assert_allclose(reduced, full[:3, :3], atol=1e-13)
+
+
+def _fd_gaussian():
+    """The oscillator-slice family without analytic gradients (FD `_grad`)."""
+    from qgeom.models.gaussian import GaussianModel
+    return GaussianModel(sigma=lambda W, X: X ** -0.25, mu=lambda W, X: W / X,
+                         param_names=("W", "X"))
+
+
+# catalog model -> (seeded in-domain draws, one point outside the domain)
+BATCH_MODELS = {
+    "gho": (get_model("gho"), (1.0, 2.0, 1.0)),
+    "gho-linear": (get_model("gho-linear"), (1.0, 0.5, 1.0, 1.0)),
+    "sym-coupled": (get_model("sym-coupled"), (1.0, -0.6)),
+    "lin-coupled": (get_model("lin-coupled"), (2.0, 1.0, 0.5)),
+    "gaussian": (get_model("gaussian"), (200.0, 0.0)),  # sigma^5 overflows
+    "oscillator-slice": (oscillator_slice_gaussian(), (0.5, 1e300)),  # sigma^-5
+    "fd-gaussian": (_fd_gaussian(), (0.5, 1e300)),
+}
+
+
+def _batch_rows(name, size, rng):
+    """size in-domain points; every model also gets its special lines:
+    Y = 0 (signed zeros), Z = 1 (the gho-linear slice forms), k1 = 0, C = 0."""
+    u = lambda lo, hi: rng.uniform(lo, hi, size)  # noqa: E731
+    if name == "gho":
+        X, Z = u(0.8, 2.5), u(0.8, 2.5)
+        Y = u(-0.6, 0.6) * np.sqrt(X * Z)
+        Y[0] = 0.0
+        return np.stack([X, Y, Z], axis=1)
+    if name == "gho-linear":
+        X = u(0.8, 2.0)
+        Z = np.where(np.arange(size) % 2 == 0, 1.0, u(0.8, 2.0))
+        Y = u(-0.5, 0.5) * np.sqrt(X * Z)
+        Y[0] = 0.0
+        return np.stack([u(-1.5, 1.5), X, Y, Z], axis=1)
+    if name == "sym-coupled":
+        k1 = u(-0.2, 2.2)
+        k1[0] = 0.0
+        return np.stack([u(0.6, 2.2), k1], axis=1)
+    if name == "lin-coupled":
+        A, B = u(0.7, 1.3), u(1.8, 3.0)
+        C = u(0.0, 0.6) * 2 * np.sqrt(A * B)
+        C[0] = 0.0
+        return np.stack([A, B, C], axis=1)
+    if name == "gaussian":
+        return np.stack([u(-0.5, 1.0), u(-1.0, 1.0)], axis=1)
+    return np.stack([u(-1.0, 1.0), u(0.5, 2.0)], axis=1)  # (W, X) families
+
+
+def _first_error(call):
+    try:
+        call()
+    except (DomainError, ValueError) as exc:
+        return exc
+    return None
+
+
+@pytest.mark.parametrize("name", BATCH_MODELS)
+def test_batch_closed_forms_equal_single_points_bitwise(name):
+    # every closed quantity and valid qn: one call on a batch is the stack of
+    # the single-point calls, bit for bit, and raises no warning
+    from qgeom.models import ParamBatch
+    model, _ = BATCH_MODELS[name]
+    rows = _batch_rows(name, 48, np.random.default_rng(2024))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for quantity in model.closed_quantities():
+            for qn in itertools.product(range(3), repeat=model.dof):
+                singles, inside, outside = [], [], []
+                for row in rows:
+                    point = model.point(*row)
+                    error = _first_error(lambda: model.closed_form(quantity, point, qn))
+                    if isinstance(error, ValueError):  # this qn has no closed form
+                        break
+                    if error is None:
+                        singles.append(model.closed_form(quantity, point, qn))
+                        inside.append(row)
+                    else:
+                        outside.append(point)
+                else:
+                    # a quantity with its own domain (the Z = 1 slice forms):
+                    # the whole batch names its first point outside
+                    if outside:
+                        with pytest.raises(DomainError) as exc:
+                            model.closed_form(quantity, ParamBatch(model.param_names, rows), qn)
+                        assert str(exc.value).endswith(f"(at {outside[0]})")
+                    assert len(inside) >= 20, (quantity, qn)
+                    want = np.array(singles)
+                    got = model.closed_form(quantity, ParamBatch(model.param_names, inside), qn)
+                    assert got.shape == want.shape, (quantity, qn)
+                    assert got.dtype == want.dtype, (quantity, qn)
+                    assert got.tobytes() == want.tobytes(), (quantity, qn)
+                    continue
+                with pytest.raises(ValueError):
+                    model.closed_form(quantity, ParamBatch(model.param_names, rows), qn)
+
+
+@pytest.mark.parametrize("name", BATCH_MODELS)
+def test_batch_validation_names_the_first_point_outside(name):
+    from qgeom.models import ParamBatch, ParamPoint
+    model, outside = BATCH_MODELS[name]
+    rows = _batch_rows(name, 24, np.random.default_rng(7))
+    rows[9] = outside
+    rows[15] = outside[::-1] if name != "gaussian" else (300.0, 0.0)
+    bad = ParamPoint(model.param_names, outside)
+    with pytest.raises(DomainError) as single:
+        model.validate(bad)
+    batch = ParamBatch(model.param_names, rows)
+    for call in (lambda: model.validate(batch),
+                 lambda: model.closed_form(model.closed_quantities()[0], batch, (0,) * model.dof)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as exc:
+                call()
+        # today's single-point message, then the point it belongs to
+        assert str(exc.value) == f"{single.value} (at {bad})"
+    with pytest.raises(DomainError, match=r"finite reals \(at "):
+        ParamBatch(model.param_names, np.where(np.arange(len(rows))[:, None] == 3, np.inf, rows))
+
+
+def test_entropy_closed_form_is_the_gauss_term():
+    # one entropy term, with its pure-state edge: at k1 = 1e-5 the closed nu
+    # sits 6e-12 above 1/2, inside NU_CLAMP, so both give 0
+    sym = get_model("sym-coupled")
+    point = sym.point(1.0, 1e-5)
+    nu = sym.closed_form("symplectic_nu", point, (0, 0))
+    assert 0.5 < nu <= 0.5 + gauss.NU_CLAMP
+    assert sym.closed_form("entropy", point, (0, 0)) == gauss._entropy_term(nu) == 0.0
+    lin = get_model("lin-coupled")
+    point = lin.point(1.0, 2.0, 0.8)
+    nu = 0.5 / lin.closed_form("purity", point, (0, 0))
+    assert lin.closed_form("entropy", point, (0, 0)) == gauss._entropy_term(nu) > 0
+    nus = np.array([0.5, 0.5 + 5e-11, 0.7, 2.0])
+    np.testing.assert_array_equal(gauss._entropy_term(nus),
+                                  [gauss._entropy_term(v) for v in nus])
