@@ -75,10 +75,11 @@ C1_STATES = {
     2: [(m, n) for m in range(3) for n in range(3)],
 }
 
-PARAM_PAIR_TOL = qgt.DEFAULT_TOLERANCES["param:perturbative-vs-overlap-fd"]
-PHASE_PAIR_TOL = qgt.DEFAULT_TOLERANCES["phase:perturbative-vs-covariance"]
-CLOSED_TOL = min(tol for name, tol in qgt.DEFAULT_TOLERANCES.items()
-                 if name.endswith("vs-closed"))
+# criterion 1 holds the pathways to each other, criterion 2 to the closed
+# forms: the relative comparisons
+PAIRS = tuple(c for c in qgt.COMPARISONS if not c.relative)
+CLOSED = tuple(c for c in qgt.COMPARISONS if c.relative)
+CLOSED_TOL = min(c.tolerance for c in CLOSED)
 C1_RUNTIME_LIMIT = 120.0
 
 
@@ -112,8 +113,7 @@ def check(*names: tuple[str, str]):
 def _one_model_cross_methods(config: AcceptanceConfig, name: str, points) -> Result:
     """Criteria 1 and 2 share the probe runs (and their diagonalizations)."""
     model = get_model(name)
-    pair_dev = {"param": 0.0, "phase": 0.0}
-    closed_dev = 0.0
+    worst = dict.fromkeys((c.name for c in qgt.COMPARISONS), 0.0)
     for values in points:
         point = model.point(*values)
         fb = model.default_basis(point, config.cutoff(model))
@@ -123,17 +123,13 @@ def _one_model_cross_methods(config: AcceptanceConfig, name: str, points) -> Res
             rep = qgt.consistency_report(
                 model, point, qgt.StateSelector(qn), fb,
                 spectrum=spectrum, fd_cache=fd_cache)
-            pair_dev["param"] = max(pair_dev["param"],
-                                    rep.deviation("param:perturbative-vs-overlap-fd"))
-            pair_dev["phase"] = max(pair_dev["phase"],
-                                    rep.deviation("phase:perturbative-vs-covariance"))
             for comp in rep.comparisons:
-                if comp.name.endswith("vs-closed"):
-                    closed_dev = max(closed_dev, comp.deviation)
+                worst[comp.name] = max(worst[comp.name], comp.deviation)
+    closed_dev = max(worst[c.name] for c in CLOSED)
     return [
-        (pair_dev["param"] <= PARAM_PAIR_TOL and pair_dev["phase"] <= PHASE_PAIR_TOL,
-         f"param dev {_fmt(pair_dev['param'])} (tol {PARAM_PAIR_TOL:.0e}), "
-         f"phase dev {_fmt(pair_dev['phase'])} (tol {PHASE_PAIR_TOL:.0e})"),
+        (all(worst[c.name] <= c.tolerance for c in PAIRS),
+         ", ".join(f"{c.block} dev {_fmt(worst[c.name])} (tol {c.tolerance:.0e})"
+                   for c in PAIRS)),
         (closed_dev <= CLOSED_TOL,
          f"max relative dev {_fmt(closed_dev)} (tol {CLOSED_TOL:.0e})"),
     ]

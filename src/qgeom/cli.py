@@ -25,7 +25,6 @@ import numpy as np
 from . import __version__, acceptance, gauss, geometry, qgt
 from .errors import DomainError, NumericalError
 from .exprs import ExpressionError, compile_expression
-from .fock import eigh
 from .models import MODEL_NAMES, get_model
 from .models.gaussian import GaussianModel
 
@@ -49,7 +48,7 @@ class JobConfig:
     model: str = ""
     point: tuple[float, ...] = ()
     quantum_numbers: tuple[int, ...] | None = None  # None -> the model's ground state
-    methods: tuple[str, ...] = ("perturbative",)
+    methods: tuple[str, ...] = tuple(qgt.PATHWAYS)[:1]  # the spectral sum
     cutoff: int = 0  # 0 -> per-model default
     out: str = "-"
     fmt: str = "csv"
@@ -72,18 +71,14 @@ class JobConfig:
             raise UsageError(f"unknown format {self.fmt!r}")
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.replace(" ", "").split(",") if v != "")
-    except ValueError:
-        raise UsageError(f"cannot parse numbers from {text!r}") from None
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.replace(" ", "").split(",") if v != "")
-    except ValueError:
-        raise UsageError(f"cannot parse integers from {text!r}") from None
+def _list_of(kind, what: str):
+    """Parser of a comma-separated list of `kind` values, blanks skipped."""
+    def parse(text) -> tuple:
+        try:
+            return tuple(kind(v.strip()) for v in str(text).split(",") if v.strip())
+        except ValueError:
+            raise UsageError(f"cannot parse {what} from {text!r}") from None
+    return parse
 
 
 def _parse_axis(text: str) -> tuple[str, float, float, int]:
@@ -120,69 +115,54 @@ def load_config(path: str) -> dict:
     return flat
 
 
+def _parse_methods(text) -> tuple[str, ...]:
+    """--method: PATHWAYS names, each once, or all of them for 'all'."""
+    names = tuple(dict.fromkeys(_list_of(str, "names")(text)))
+    unknown = [name for name in names if name not in (*qgt.PATHWAYS, "all")]
+    if unknown or not names:
+        raise UsageError(f"--method {text!r} names {unknown or 'no pathway'}; "
+                         f"choose from {', '.join(qgt.PATHWAYS)} or all")
+    return tuple(qgt.PATHWAYS) if "all" in names else names
+
+
+#: JobConfig field -> (flag attribute, config file key, parser). A given
+#: flag replaces the file's value; a blank value leaves the default.
+CONFIG_KEYS = {
+    "model": ("model", "model", str),
+    "point": ("point", "point", _list_of(float, "numbers")),
+    "quantum_numbers": ("n", "n", _list_of(int, "integers")),
+    "methods": ("method", "method", _parse_methods),
+    "cutoff": ("cutoff", "cutoff", int),
+    "out": ("out", "out", str),
+    "fmt": ("format", "format", str),
+    "fd_step": ("fd_step", "fd_step", float),
+    "quantities": ("quantities", "quantities", _list_of(str, "names")),
+    "sigma": ("sigma", "gaussian.sigma", str),
+    "mu": ("mu", "gaussian.mu", str),
+    "param_names": ("params", "gaussian.params", _list_of(str, "names")),
+    "which": ("which", "which", str),
+}
+
+
 def build_config(args: argparse.Namespace) -> JobConfig:
     cfg = JobConfig()
     file_values = load_config(args.config) if getattr(args, "config", None) else {}
-
-    def pick(flag_value, file_key):
-        return flag_value if flag_value is not None else file_values.get(file_key)
-
-    model = pick(getattr(args, "model", None), "model")
-    if model:
-        cfg.model = model
-    point = pick(getattr(args, "point", None), "point")
-    if point:
-        cfg.point = _parse_floats(point)
-    qn = pick(getattr(args, "n", None), "n")
-    if qn is not None:
-        cfg.quantum_numbers = _parse_ints(str(qn))
-    methods = pick(getattr(args, "method", None), "method")
-    if methods:
-        names = tuple(m.strip() for m in str(methods).split(",") if m.strip())
-        cfg.methods = (("perturbative", "overlap-fd", "covariance", "closed-form")
-                       if "all" in names else names)
-    cutoff = pick(getattr(args, "cutoff", None), "cutoff")
-    if cutoff is not None:
-        cfg.cutoff = int(cutoff)
-    out = pick(getattr(args, "out", None), "out")
-    if out:
-        cfg.out = out
-    fmt = pick(getattr(args, "format", None), "format")
-    if fmt:
-        cfg.fmt = str(fmt)
+    for name, (flag, key, parse) in CONFIG_KEYS.items():
+        value = getattr(args, flag, None)
+        if value is None:
+            value = file_values.get(key)
+        if value is not None and str(value).strip():
+            setattr(cfg, name, parse(value))
     if getattr(args, "no_header_timestamp", False) or \
             str(file_values.get("timestamp", "true")).lower() in ("0", "false", "no"):
         cfg.timestamp = False
-    step = pick(getattr(args, "fd_step", None), "fd_step")
-    if step is not None:
-        cfg.fd_step = float(step)
-    quantities = pick(getattr(args, "quantities", None), "quantities")
-    if quantities:
-        cfg.quantities = tuple(q.strip() for q in str(quantities).split(",") if q.strip())
     file_axes = [chunk.strip() for chunk in file_values.get("axis", "").split(";")
                  if chunk.strip()]
-    for axis in (getattr(args, "axis", None) or file_axes):
-        cfg.axes = cfg.axes + (_parse_axis(axis),)
-    for assign in (getattr(args, "fix", None) or []):
-        name, value = _parse_assign(assign)
-        cfg.fixed[name] = value
-    if "fix" in file_values:
-        for chunk in file_values["fix"].split(","):
-            if chunk.strip():
-                name, value = _parse_assign(chunk)
-                cfg.fixed.setdefault(name, value)
-    sigma = pick(getattr(args, "sigma", None), "gaussian.sigma")
-    if sigma:
-        cfg.sigma = sigma
-    mu = pick(getattr(args, "mu", None), "gaussian.mu")
-    if mu:
-        cfg.mu = mu
-    params = pick(getattr(args, "params", None), "gaussian.params")
-    if params:
-        cfg.param_names = tuple(p.strip() for p in str(params).split(",") if p.strip())
-    which = pick(getattr(args, "which", None), "which")
-    if which:
-        cfg.which = which
+    cfg.axes = tuple(map(_parse_axis, getattr(args, "axis", None) or file_axes))
+    cfg.fixed = dict(map(_parse_assign, getattr(args, "fix", None) or []))
+    for chunk in file_values.get("fix", "").split(","):  # the flags win
+        if chunk.strip():
+            cfg.fixed.setdefault(*_parse_assign(chunk))
     cfg.validate()
     return cfg
 
@@ -303,60 +283,21 @@ def cmd_eval(cfg: JobConfig) -> int:
             "n": list(sel.quantum_numbers), "cutoff": cutoff,
             "methods": list(cfg.methods), "version": __version__}
     writer = Writer(cfg, meta)
-    # only the spectral sum and the FD twins need every level; the
-    # covariance alone solves for a window of the lowest ones
-    spectrum = (eigh(model.hamiltonian(point, fb))
-                if {"perturbative", "overlap-fd"} & set(cfg.methods) else None)
-    results: dict[str, qgt.QGTResult] = {}
+    results = qgt.run_pathways(model, point, sel, fb, cfg.methods, step=cfg.fd_step)
     base = {"model": model.name, "n": ",".join(map(str, sel.quantum_numbers))}
     base.update({f"point[{name}]": value
                  for name, value in zip(point.names, point.values)})
-    for method in cfg.methods:
-        row = dict(base)
-        row["method"] = method
-        if method == "perturbative":
-            res = qgt.qgt_perturbative(model, point, sel, fb, spectrum=spectrum)
-            results[method] = res
-            row.update(_matrix_columns("G", res.labels, res.values))
-            metric, berry = qgt.split(res)
-            row.update(_matrix_columns("metric", res.labels, metric))
-            row.update(_matrix_columns("berry", res.labels, berry))
-        elif method == "overlap-fd":
-            res = qgt.qgt_overlap_fd(model, point, sel, fb, step=cfg.fd_step,
-                                     spectrum=spectrum)
-            results[method] = res
-            row.update(_matrix_columns("G", res.labels, res.values))
-        elif method == "covariance":
-            cov = qgt.covariance_from_state(model, point, sel, fb, spectrum=spectrum)
-            res = qgt.phase_block_from_covariance(cov, sel.quantum_numbers)
-            results[method] = res
-            row.update(_matrix_columns("G", res.labels, res.values))
-            row.update(_matrix_columns("sigma", res.labels, cov.entries))
-        elif method == "closed-form":
-            qn = sel.quantum_numbers
-            blocks = {}
-            if "qgt" in model.closed_quantities():
-                blocks["G"] = (model.param_names,
-                               np.asarray(model.closed_form("qgt", point, qn)))
-            if "phase_qgt" in model.closed_quantities():
-                blocks["Gphase"] = (model.phase_labels,
-                                    np.asarray(model.closed_form("phase_qgt", point, qn)))
-            for prefix, (labels, matrix) in blocks.items():
-                row.update(_matrix_columns(prefix, labels, matrix))
-        else:
-            raise UsageError(f"unknown method {method!r}")
+    for method, (_, columns) in results.items():
+        row = dict(base, method=method)
+        for prefix, labels, matrix in columns():
+            row.update(_matrix_columns(prefix, labels, matrix))
         writer.add(row)
-    if len([m for m in cfg.methods if m in results]) > 1:
-        row = dict(base)
-        row["method"] = "agreement"
-        if "perturbative" in results and "overlap-fd" in results:
-            blk = results["perturbative"].parameter_block(model)
-            row["dev[perturbative-vs-overlap-fd]"] = float(
-                np.abs(blk - results["overlap-fd"].values).max())
-        if "perturbative" in results and "covariance" in results:
-            blk = results["perturbative"].phase_block(model)
-            row["dev[perturbative-vs-covariance]"] = float(
-                np.abs(blk - results["covariance"].values).max())
+    comparisons = qgt.compare(results)
+    if comparisons:
+        row = dict(base, method="agreement")
+        for c in comparisons:
+            row[f"dev[{c.name}]"] = c.deviation
+            row[f"tol[{c.name}]"] = c.tolerance
         writer.add(row)
     writer.flush()
     return EXIT_OK
@@ -554,7 +495,7 @@ _FLAGS = {
     "--n": dict(help="quantum numbers, comma-separated, one per mode "
                      "(default: the ground state)"),
     "--cutoff": dict(type=int, help="Fock cutoff per mode"),
-    "--method": dict(help="perturbative,overlap-fd,covariance,closed-form|all"),
+    "--method": dict(help=f"{','.join(qgt.PATHWAYS)}|all"),
     "--out": dict(help="output path ('-' for stdout)"),
     "--format": dict(choices=["csv", "json"], dest="format"),
     "--no-header-timestamp": dict(action="store_true",
@@ -611,16 +552,13 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         return SUBCOMMANDS[args.command][1](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -217,8 +217,8 @@ class LinearCoupled(Model):
     def mixing(self, point):
         """(w1, w2, zeta); zeta = 0 at C = 0 by continuity."""
         A, B, C = point.values
-        eps = _eps(point)
-        tz = np.sqrt(eps * eps + 1) - eps
+        eps = _eps(point)  # >= 0 on the domain (B > A, C >= 0)
+        tz = 1 / (np.sqrt(eps * eps + 1) + eps)  # = sqrt(eps^2 + 1) - eps, uncancelled
         w1 = np.sqrt(A - 0.5 * C * tz)  # C tz = 0 at C = 0
         w2 = np.sqrt(B + 0.5 * C * tz)
         return w1, w2, np.arctan(tz) * (C != 0)  # tz = 1 at C = 0

@@ -10,15 +10,22 @@ Pathways over a (model, point, state):
     mapped onto the phase-space block by the two `gauss` maps
     (g_qq = sigma_pp, g_qp = -sigma_qp, g_pp = sigma_qq, Im = Omega/2),
     the same ones `Model` derives its closed phase_qgt and covariance with.
+The model's closed forms (qgt, phase_qgt) are a fourth, exact one.
 
-All pathways must agree; consistency_report quantifies the deviations.
+Two tables hold them. PATHWAYS maps each `eval --method` name to what the
+pathway needs and to an adapter returning its "param"/"phase" blocks and
+its `eval` columns. COMPARISONS lists each agreement once: name, pathways,
+block, tolerance, relative or not. `run_pathways`, `compare` and so
+`consistency_report`, `eval` and the acceptance suite read only these. A
+new pathway is its function, an adapter calling it through this module's
+globals (perfbench rebinds them), a PATHWAYS row and its COMPARISONS rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -185,8 +192,6 @@ class QGTResult:
 
     labels: tuple[str, ...]
     values: np.ndarray
-    quantum_numbers: tuple[int, ...]
-    method: str
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
@@ -249,7 +254,7 @@ def qgt_perturbative(model: Model, point: ParamPoint, sel: StateSelector,
     gaps[state.index] = np.inf
     weighted = amps / gaps[:, None]
     g = weighted.conj().T @ weighted  # W^dag W, W_mA = <m|O_A|n>/|E_m - E_n|
-    return QGTResult(labels, g, tuple(sel.quantum_numbers), "perturbative")
+    return QGTResult(labels, g)
 
 
 def _fd_steps(point: ParamPoint, step) -> np.ndarray:
@@ -322,7 +327,7 @@ def qgt_overlap_fd(model: Model, point: ParamPoint, sel: StateSelector,
         for j in range(n):
             g[i, j] = np.vdot(derivs[i], derivs[j]) - di_n * np.vdot(ref, derivs[j])
     g = 0.5 * (g + g.conj().T)
-    return QGTResult(model.param_names, g, tuple(sel.quantum_numbers), "overlap-fd")
+    return QGTResult(model.param_names, g)
 
 
 def covariance_from_state(model: Model, point: ParamPoint, sel: StateSelector,
@@ -347,8 +352,7 @@ def covariance_from_state(model: Model, point: ParamPoint, sel: StateSelector,
     return CovarianceMatrix(fb.modes, sigma)
 
 
-def phase_block_from_covariance(cov: CovarianceMatrix,
-                                quantum_numbers: tuple[int, ...] = ()) -> QGTResult:
+def phase_block_from_covariance(cov: CovarianceMatrix) -> QGTResult:
     """Phase-space QGT block from the covariance matrix.
 
     Re: g_{q_a q_b} = sigma_{p_a p_b}, g_{q_a p_b} = -sigma_{q_a p_b},
@@ -357,85 +361,145 @@ def phase_block_from_covariance(cov: CovarianceMatrix,
     n = cov.modes
     values = add_half_omega(quadrature_swap(cov.entries))
     labels = tuple(f"q{a + 1}" for a in range(n)) + tuple(f"p{a + 1}" for a in range(n))
-    return QGTResult(labels, values, tuple(quantum_numbers), "covariance-derived")
+    return QGTResult(labels, values)
+
+
+Blocks = dict[str, np.ndarray]  # "param" and/or "phase" -> complex QGT block
+
+
+class Pathway(NamedTuple):
+    """needs: "nothing", "state" (the selected eigenstate) or "spectrum" (every
+    level, and the state). run(model, point, sel, fb, *, spectrum, state, step,
+    cache) -> (blocks, columns); columns() gives the (prefix, labels, matrix)
+    triples `eval` writes, so only `eval` pays for them."""
+
+    needs: str
+    run: Callable[..., tuple[Blocks, Callable[[], tuple]]]
+
+
+def _perturbative(model, point, sel, fb, *, spectrum, state, **_):
+    res = qgt_perturbative(model, point, sel, fb, spectrum=spectrum, state=state)
+
+    def columns():
+        metric, berry = split(res)
+        return (("G", res.labels, res.values), ("metric", res.labels, metric),
+                ("berry", res.labels, berry))
+    return {"param": res.parameter_block(model), "phase": res.phase_block(model)}, columns
+
+
+def _overlap_fd(model, point, sel, fb, *, spectrum, state, step, cache):
+    res = qgt_overlap_fd(model, point, sel, fb, step=step, spectrum=spectrum,
+                         cache=cache, state=state)
+    return {"param": res.values}, lambda: (("G", res.labels, res.values),)
+
+
+def _covariance(model, point, sel, fb, *, spectrum, state, **_):
+    cov = covariance_from_state(model, point, sel, fb, spectrum=spectrum, state=state)
+    res = phase_block_from_covariance(cov)
+    return {"phase": res.values}, lambda: (("G", res.labels, res.values),
+                                           ("sigma", res.labels, cov.entries))
+
+
+def _closed_form(model, point, sel, fb, **_):
+    """The catalog's qgt and phase_qgt, where it has them for this state."""
+    heads = {"param": ("qgt", "G", model.param_names),
+             "phase": ("phase_qgt", "Gphase", model.phase_labels)}
+    blocks = {}
+    for block, (quantity, _, _) in heads.items():
+        try:
+            blocks[block] = np.asarray(
+                model.closed_form(quantity, point, sel.quantum_numbers), dtype=complex)
+        except ValueError:
+            continue  # no such closed form, or none for these quantum numbers
+    return blocks, lambda: tuple((*heads[b][1:], m) for b, m in blocks.items())
+
+
+#: every QGT pathway, by its `eval --method` name, in output order
+PATHWAYS: dict[str, Pathway] = {
+    "perturbative": Pathway("spectrum", _perturbative),
+    "overlap-fd": Pathway("spectrum", _overlap_fd),
+    "covariance": Pathway("state", _covariance),
+    "closed-form": Pathway("nothing", _closed_form),
+}
 
 
 @dataclass(frozen=True)
 class Comparison:
+    """A row of COMPARISONS and, once measured, its deviation: max |a - b|
+    between the `block` of the first pathway (a) and of the second (b),
+    divided by max |b| if relative. measure() gives None for a missing block."""
+
     name: str
-    deviation: float
+    pathways: tuple[str, str]
+    block: str
     tolerance: float
     relative: bool
+    deviation: float = math.nan
 
     @property
     def passed(self) -> bool:
         return self.deviation <= self.tolerance
 
+    def measure(self, blocks: dict[str, Blocks]) -> Comparison | None:
+        first, second = self.pathways
+        try:
+            a, b = blocks[first][self.block], blocks[second][self.block]
+        except KeyError:
+            return None
+        deviation = float(np.abs(a - b).max())
+        if self.relative:
+            deviation /= max(float(np.abs(b).max()), 1e-300)
+        return replace(self, deviation=deviation)
+
+
+#: every agreement the pathways must reach
+COMPARISONS: tuple[Comparison, ...] = (
+    Comparison("param:perturbative-vs-overlap-fd",
+               ("perturbative", "overlap-fd"), "param", 1e-5, False),
+    Comparison("phase:perturbative-vs-covariance",
+               ("perturbative", "covariance"), "phase", 1e-8, False),
+    Comparison("param:perturbative-vs-closed",
+               ("perturbative", "closed-form"), "param", 1e-6, True),
+    Comparison("phase:perturbative-vs-closed",
+               ("perturbative", "closed-form"), "phase", 1e-6, True),
+)
+
+
+def run_pathways(model: Model, point: ParamPoint, sel: StateSelector, fb: FockBasis,
+                 names: Sequence[str], *, spectrum: Spectrum | None = None, step=None,
+                 cache: dict | None = None) -> dict[str, tuple[Blocks, Callable]]:
+    """Run the named PATHWAYS at one point and state. The full spectrum is
+    solved only if one of them needs it, the state selected once if any
+    needs one; step and cache go to `qgt_overlap_fd`."""
+    needs = {PATHWAYS[name].needs for name in names}
+    if spectrum is None and "spectrum" in needs:
+        spectrum = eigh(model.hamiltonian(point, fb))
+    state = (select_state(model, point, sel, fb, spectrum=spectrum)
+             if needs - {"nothing"} else None)
+    return {name: PATHWAYS[name].run(model, point, sel, fb, spectrum=spectrum,
+                                     state=state, step=step, cache=cache)
+            for name in names}
+
+
+def compare(results: dict[str, tuple[Blocks, Callable]]) -> tuple[Comparison, ...]:
+    """Every COMPARISONS row whose two blocks are in `run_pathways` results."""
+    blocks = {name: out[0] for name, out in results.items()}
+    measured = (c.measure(blocks) for c in COMPARISONS)
+    return tuple(c for c in measured if c is not None)
+
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    model: str
-    point: tuple[float, ...]
-    quantum_numbers: tuple[int, ...]
     comparisons: tuple[Comparison, ...]
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.comparisons)
 
-    def deviation(self, name: str) -> float:
-        for c in self.comparisons:
-            if c.name == name:
-                return c.deviation
-        raise KeyError(name)
-
-
-DEFAULT_TOLERANCES = {
-    "param:perturbative-vs-overlap-fd": 1e-5,
-    "phase:perturbative-vs-covariance": 1e-8,
-    "param:perturbative-vs-closed": 1e-6,
-    "phase:perturbative-vs-closed": 1e-6,
-}
-
-
-def _max_abs(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.abs(a - b).max())
-
-
-def _rel(a: np.ndarray, b: np.ndarray) -> float:
-    return _max_abs(a, b) / max(float(np.abs(b).max()), 1e-300)
-
 
 def consistency_report(model: Model, point: ParamPoint, sel: StateSelector,
                        fb: FockBasis, *, spectrum: Spectrum | None = None,
                        fd_cache: dict | None = None) -> ConsistencyReport:
-    """Pairwise agreement of all runnable pathways (and closed forms)."""
-    spec = spectrum if spectrum is not None else eigh(model.hamiltonian(point, fb))
-    state = select_state(model, point, sel, fb, spectrum=spec)
-    pert = qgt_perturbative(model, point, sel, fb, spectrum=spec, state=state)
-    fd = qgt_overlap_fd(model, point, sel, fb,
-                        spectrum=spec, cache=fd_cache, state=state)
-    cov = covariance_from_state(model, point, sel, fb, spectrum=spec, state=state)
-    phase_cov = phase_block_from_covariance(cov, tuple(sel.quantum_numbers))
-    comps = [
-        Comparison("param:perturbative-vs-overlap-fd",
-                   _max_abs(pert.parameter_block(model), fd.values),
-                   DEFAULT_TOLERANCES["param:perturbative-vs-overlap-fd"], False),
-        Comparison("phase:perturbative-vs-covariance",
-                   _max_abs(pert.phase_block(model), phase_cov.values),
-                   DEFAULT_TOLERANCES["phase:perturbative-vs-covariance"], False),
-    ]
-    qn = model._check_qn(sel.quantum_numbers)
-    for quantity, getter, key in (
-        ("qgt", pert.parameter_block, "param:perturbative-vs-closed"),
-        ("phase_qgt", pert.phase_block, "phase:perturbative-vs-closed"),
-    ):
-        if quantity not in model.closed_quantities():
-            continue
-        try:
-            closed = np.asarray(model.closed_form(quantity, point, qn), dtype=complex)
-        except ValueError:
-            continue  # closed form not defined for these quantum numbers
-        comps.append(Comparison(key, _rel(getter(model), closed),
-                                DEFAULT_TOLERANCES[key], True))
-    return ConsistencyReport(model.name, point.values, qn, tuple(comps))
+    """Every PATHWAYS row at one point and state, held to COMPARISONS."""
+    return ConsistencyReport(compare(run_pathways(model, point, sel, fb, PATHWAYS,
+                                                  spectrum=spectrum, cache=fd_cache)))

@@ -33,8 +33,8 @@ def test_eval_gho_all_methods(capsys, tmp_path):
     assert methods == ["perturbative", "overlap-fd", "covariance",
                        "closed-form", "agreement"]
     agree = rows[-1]
-    assert float(agree["dev[perturbative-vs-overlap-fd]"]) < 1e-5
-    assert float(agree["dev[perturbative-vs-covariance]"]) < 1e-8
+    assert float(agree["dev[param:perturbative-vs-overlap-fd]"]) < 1e-5
+    assert float(agree["dev[phase:perturbative-vs-covariance]"]) < 1e-8
     # split columns present for the perturbative record
     assert "metric_re[X|Y]" in header and "berry_re[X|Y]" in header
 
@@ -398,7 +398,7 @@ def test_eval_two_mode_all_methods(tmp_path):
     _, rows = parse_csv(out_file.read_text())
     agree = rows[-1]
     assert agree["method"] == "agreement"
-    assert float(agree["dev[perturbative-vs-covariance]"]) < 1e-8
+    assert float(agree["dev[phase:perturbative-vs-covariance]"]) < 1e-8
     cov_row = rows[2]
     assert cov_row["method"] == "covariance"
     assert float(cov_row["sigma_re[q1|q1]"]) > 0
@@ -434,13 +434,17 @@ timestamp = false
 
 def test_eval_covariance_solves_no_full_spectrum(monkeypatch, tmp_path):
     # the covariance pathway alone takes its state from the lowest-levels window
-    import qgeom.cli
+    import qgeom.qgt
     from qgeom.models import get_model
 
-    def full_spectrum(*args, **kwargs):
-        raise AssertionError("eval built a full spectrum it does not need")
+    window_solve = qgeom.qgt.eigh
 
-    monkeypatch.setattr(qgeom.cli, "eigh", full_spectrum)
+    def no_full_spectrum(op, lowest=None, **kwargs):
+        if lowest is None:
+            raise AssertionError("eval built a full spectrum it does not need")
+        return window_solve(op, lowest=lowest, **kwargs)
+
+    monkeypatch.setattr(qgeom.qgt, "eigh", no_full_spectrum)
     out_file = tmp_path / "cov.csv"
     assert main(["eval", "--model", "sym-coupled", "--point", "1,0.8", "--n", "1,2",
                  "--method", "covariance,closed-form", CUT, "24",
@@ -449,6 +453,109 @@ def test_eval_covariance_solves_no_full_spectrum(monkeypatch, tmp_path):
     model = get_model("sym-coupled")
     closed = model.closed_form("covariance", model.point(1.0, 0.8), (1, 2))
     assert float(rows[0]["sigma_re[q1|q1]"]) == pytest.approx(closed[0, 0], abs=1e-8)
+
+
+GHO_EVAL = ["eval", "--model", "gho", "--point", "2,0.5,1", "--n", "1", CUT, "40"]
+
+
+@pytest.mark.parametrize("methods, written", [
+    ("overlap-fd,covariance", ["overlap-fd", "covariance"]),  # no comparison pairs them
+    ("perturbative,perturbative", ["perturbative"]),
+    ("perturbative,closed-form", ["perturbative", "closed-form", "agreement"]),
+])
+def test_eval_rows_follow_the_distinct_methods(tmp_path, methods, written):
+    out_file = tmp_path / "eval.csv"
+    assert main(GHO_EVAL + ["--method", methods, "--out", str(out_file)]) == 0
+    _, rows = parse_csv(out_file.read_text())
+    assert [r["method"] for r in rows] == written
+
+
+def test_eval_method_list_naming_no_pathway_exit_2(capsys):
+    assert main(GHO_EVAL + ["--method", ",,"]) == 2
+    captured = capsys.readouterr()
+    assert "names no pathway" in captured.err and captured.out == ""
+
+
+def test_eval_unknown_method_exit_2_before_any_solve(monkeypatch, capsys):
+    import qgeom.qgt
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eval solved before it checked the method names")
+
+    monkeypatch.setattr(qgeom.qgt, "eigh", no_solve)
+    assert main(GHO_EVAL + ["--method", "perturbative,bogus"]) == 2
+    err = capsys.readouterr().err
+    assert "'bogus'" in err
+    assert all(name in err for name in qgeom.qgt.PATHWAYS)
+
+
+def test_a_registered_pathway_reaches_eval_and_the_report(monkeypatch, tmp_path):
+    # a pathway is one PATHWAYS row plus its COMPARISONS rows, nothing else
+    from qgeom import qgt
+    from qgeom.models import get_model
+
+    def stub(model, point, sel, fb, *, state, **_):
+        cov = qgt.covariance_from_state(model, point, sel, fb, state=state)
+        block = qgt.phase_block_from_covariance(cov).values
+        return {"phase": block}, lambda: (("G", model.phase_labels, block),)
+
+    monkeypatch.setitem(qgt.PATHWAYS, "stub", qgt.Pathway("state", stub))
+    monkeypatch.setattr(qgt, "COMPARISONS", qgt.COMPARISONS + (qgt.Comparison(
+        "phase:perturbative-vs-stub", ("perturbative", "stub"), "phase", 1e-8, False),))
+    out_file = tmp_path / "stub.csv"
+    assert main(GHO_EVAL + ["--method", "stub,perturbative", "--out", str(out_file)]) == 0
+    header, rows = parse_csv(out_file.read_text())
+    assert [r["method"] for r in rows] == ["stub", "perturbative", "agreement"]
+    assert float(rows[0]["G_re[q1|q1]"]) > 0
+    assert [col for col in header if col.startswith("dev[")] == [
+        "dev[phase:perturbative-vs-stub]"]
+    assert float(rows[-1]["dev[phase:perturbative-vs-stub]"]) < 1e-8
+    assert float(rows[-1]["tol[phase:perturbative-vs-stub]"]) == 1e-8
+
+    model = get_model("gho")
+    point = model.point(2.0, 0.5, 1.0)
+    rep = qgt.consistency_report(model, point, qgt.selector(1),
+                                 model.default_basis(point, 40))
+    assert rep.comparisons[-1].name == "phase:perturbative-vs-stub"
+    assert rep.passed
+
+
+#: JobConfig field -> (its config file text, a flag value, what the flag sets)
+FLAG_OVER_FILE = {
+    "model": ("gho", "sym-coupled", "sym-coupled"),
+    "point": ("2, 0.5, 1", "1,0.8", (1.0, 0.8)),
+    "quantum_numbers": ("0", "1,2", (1, 2)),
+    "methods": ("perturbative", "covariance,closed-form", ("covariance", "closed-form")),
+    "cutoff": ("24", 16, 16),
+    "out": ("file.csv", "-", "-"),
+    "fmt": ("csv", "json", "json"),
+    "fd_step": ("1e-4", 1e-3, 1e-3),
+    "quantities": ("purity", "entropy,nu", ("entropy", "nu")),
+    "sigma": ("X^2", "X^3", "X^3"),
+    "mu": ("W", "W/X", "W/X"),
+    "param_names": ("a, b", "W,X", ("W", "X")),
+    "which": ("metric", "param", "param"),
+}
+
+
+def test_every_config_key_yields_to_its_flag(tmp_path):
+    import argparse
+
+    from qgeom.cli import CONFIG_KEYS, build_config
+    assert set(FLAG_OVER_FILE) == set(CONFIG_KEYS)
+    sections: dict = {"job": [], "gaussian": []}
+    for name, (_, key, _) in CONFIG_KEYS.items():
+        section, _, option = key.rpartition(".")
+        sections[section or "job"].append(f"{option} = {FLAG_OVER_FILE[name][0]}")
+    ini = tmp_path / "job.ini"
+    ini.write_text("".join(f"[{section}]\n" + "\n".join(lines) + "\n"
+                           for section, lines in sections.items()))
+    from_file = build_config(argparse.Namespace(config=str(ini)))
+    for name, (flag, _, _) in CONFIG_KEYS.items():
+        _, flag_value, expected = FLAG_OVER_FILE[name]
+        assert getattr(from_file, name) != expected
+        cfg = build_config(argparse.Namespace(config=str(ini), **{flag: flag_value}))
+        assert getattr(cfg, name) == expected, name
 
 
 def test_default_n_is_the_models_ground_state(tmp_path):

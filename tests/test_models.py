@@ -9,7 +9,7 @@ from dense_reference import (assert_hermitian, commutator, dagger, dense,
                              position_momentum)
 from qgeom import MODEL_NAMES, fock, gauss, qgt
 from qgeom.errors import DomainError, NumericalError
-from qgeom.models import (GeneralizedOscillator, NormalModeData, get_model,
+from qgeom.models import (GeneralizedOscillator, NormalModeData, ParamBatch, get_model,
                           oscillator_slice_gaussian)
 
 PROBE = {
@@ -226,6 +226,19 @@ def test_lin_coupled_mixing_diagonalizes():
         D = R @ K @ R.T
         np.testing.assert_allclose(D, np.diag([w1 * w1, w2 * w2]), atol=1e-12)
         assert -math.pi / 4 < zeta < math.pi / 4
+
+
+@pytest.mark.parametrize("C", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+def test_lin_coupled_mixing_angle_as_the_coupling_vanishes(C):
+    # tan(2 zeta) = C/(B - A): no cancellation as C -> 0, one point or a batch
+    lin = get_model("lin-coupled")
+    exact = 0.5 * math.atan2(1.0, (2.0 - 1.0) / C)
+    _, _, zeta = lin.mixing(lin.point(1.0, 2.0, C))
+    assert abs(zeta - exact) <= 1e-14 * exact
+    batch = ParamBatch(lin.param_names, np.array([[1.0, 2.0, C], [1.0, 2.0, 0.0]]))
+    w1, w2, zetas = lin.mixing(batch)
+    assert zetas[0] == zeta and zetas[1] == 0.0
+    assert (w1[1], w2[1]) == (1.0, math.sqrt(2.0))  # tan(zeta) = 1 at C = 0
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dense_reference import dense, spectral_sum
 from qgeom import gauss, qgt
+from qgeom.acceptance import C1_POINTS, C1_STATES, AcceptanceConfig
 from qgeom.errors import DegeneracyError, StateTrackingError
 from qgeom.fock import Spectrum, eigh, quadratics
 from qgeom.models import get_model
@@ -172,7 +173,7 @@ def test_phase_block_from_covariance_mapping():
     for qn in ((0, 0), (1, 2)):
         sel = qgt.StateSelector(qn)
         cov = qgt.covariance_from_state(model, point, sel, fb, spectrum=spec)
-        blk = qgt.phase_block_from_covariance(cov, qn)
+        blk = qgt.phase_block_from_covariance(cov)
         pert = qgt.qgt_perturbative(model, point, sel, fb, spectrum=spec)
         np.testing.assert_allclose(blk.values, pert.phase_block(model), atol=1e-8)
         np.testing.assert_allclose(blk.values.imag,
@@ -190,7 +191,7 @@ def test_split():
     block = res.parameter_block(model)
     np.testing.assert_allclose(berry[:3, :3], -2 * block.imag, atol=1e-14)
     # real input has zero curvature
-    real = qgt.QGTResult(("a", "b"), np.eye(2), (0,), "test")
+    real = qgt.QGTResult(("a", "b"), np.eye(2))
     _, curv = qgt.split(real)
     np.testing.assert_allclose(curv, 0.0, atol=1e-15)
     # phase block: curvature = -Omega
@@ -201,7 +202,7 @@ def test_split():
 
 
 def test_split_rejects_nonhermitian():
-    bad = qgt.QGTResult(("a", "b"), np.array([[0.0, 1.0], [0.0, 0.0]]), (0,), "test")
+    bad = qgt.QGTResult(("a", "b"), np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         qgt.split(bad)
 
@@ -214,6 +215,56 @@ def test_consistency_report(gho_setup):
     assert "param:perturbative-vs-overlap-fd" in names
     assert "phase:perturbative-vs-covariance" in names
     assert "param:perturbative-vs-closed" in names
+
+
+def _direct_comparisons(model, point, sel, fb, spec, cache):
+    """consistency_report's comparisons computed straight from the four public
+    pathways, with the names, order and tolerances the report must keep."""
+    pert = qgt.qgt_perturbative(model, point, sel, fb, spectrum=spec)
+    fd = qgt.qgt_overlap_fd(model, point, sel, fb, spectrum=spec, cache=cache)
+    cov = qgt.covariance_from_state(model, point, sel, fb, spectrum=spec)
+    phase_cov = qgt.phase_block_from_covariance(cov)
+    out = [
+        ("param:perturbative-vs-overlap-fd",
+         float(np.abs(pert.parameter_block(model) - fd.values).max()), 1e-5, False),
+        ("phase:perturbative-vs-covariance",
+         float(np.abs(pert.phase_block(model) - phase_cov.values).max()), 1e-8, False),
+    ]
+    for quantity, block, name in (("qgt", pert.parameter_block(model),
+                                    "param:perturbative-vs-closed"),
+                                   ("phase_qgt", pert.phase_block(model),
+                                    "phase:perturbative-vs-closed")):
+        if quantity not in model.closed_quantities():
+            continue
+        try:
+            closed = np.asarray(model.closed_form(quantity, point, sel.quantum_numbers),
+                                dtype=complex)
+        except ValueError:
+            continue
+        dev = float(np.abs(block - closed).max()) / max(float(np.abs(closed).max()),
+                                                         1e-300)
+        out.append((name, dev, 1e-6, True))
+    return out
+
+
+@pytest.mark.parametrize("name", list(C1_POINTS))
+def test_consistency_report_is_the_pathways_bitwise_on_c1_probes(name):
+    # the acceptance suite's points and states; a two-mode cutoff of 20, not
+    # 40, since equality does not depend on it and the FD solves then cost little
+    model = get_model(name)
+    config = AcceptanceConfig(cutoff_2mode=20)
+    for values in C1_POINTS[name]:
+        point = model.point(*values)
+        fb = model.default_basis(point, config.cutoff(model))
+        spec = eigh(model.hamiltonian(point, fb))
+        cache: dict = {}  # shared, so each displaced solve runs once
+        for qn in C1_STATES[model.dof]:
+            sel = qgt.StateSelector(qn)
+            rep = qgt.consistency_report(model, point, sel, fb, spectrum=spec,
+                                         fd_cache=cache)
+            got = [(c.name, c.deviation, c.tolerance, c.relative)
+                   for c in rep.comparisons]
+            assert got == _direct_comparisons(model, point, sel, fb, spec, cache)
 
 
 def test_consistency_gaussian_excited_skips_closed():
