@@ -300,7 +300,11 @@ def cmd_eval(cfg: JobConfig) -> int:
             row[f"tol[{c.name}]"] = c.tolerance
         writer.add(row)
     writer.flush()
-    return EXIT_OK
+    failed = [c for c in comparisons if not c.passed]
+    for c in failed:
+        print(f"comparison failed: {c.name} deviates by {c.deviation:.3g}, tolerance "
+              f"{c.tolerance:g}; a --cutoff above {cutoff} may resolve it", file=sys.stderr)
+    return EXIT_NUMERICAL if failed else EXIT_OK
 
 
 def _grid_points(cfg: JobConfig, model):

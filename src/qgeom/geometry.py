@@ -14,17 +14,19 @@ A metric field maps a (P, d) stack of points to the (P, d, d) stack of its
 metrics there (`MetricField`). Each curvature call (`ricci_scalar`,
 `curvature_report`, `scalar_2d_direct`, `riemann`, `christoffel`,
 `metric_derivatives`) works in three steps. It enumerates its whole stencil
-up front: the Christoffel centers x and x +- h_k e_k at each Richardson
-step, and their neighbours, deduplicated by the exact bytes of each point.
-It calls the field once, on the stack of distinct points in that order, and
-checks the stack of values once. It then runs the FD algebra as array
-operations over all centers of a step at once: one metric-derivative stack,
-one equilibrated `cond` and `inv`, one einsum for the Christoffel symbols.
-Nothing is kept after the call returns.
+up front, by broadcast adds of a table of +-h_k offsets: the Christoffel
+centers x and x +- h_k e_k at every Richardson step, and their neighbours,
+deduplicated by the exact bytes of each point. It calls the field once, on
+the stack of distinct points in that order, and checks the stack of values
+once. It then runs the FD algebra as one array pass over all centers of all
+steps, the step being a leading axis: one metric-derivative stack, one
+equilibrated `cond` and one `inv`, one einsum for the Christoffel symbols
+and one Riemann assembly. Nothing is kept after the call returns.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -84,19 +86,19 @@ def _evaluate(field: MetricField, points: np.ndarray) -> np.ndarray:
         names = f" ({', '.join(field.coords)})" if field.coords else ""
         raise ValueError(f"{field.name} is {size} but the field has "
                          f"{field.dim} coordinates{names}")
-    if np.iscomplexobj(g):
+    if g.dtype.kind == "c":
         real = DERIVED[field.name][0][0] if field.name in DERIVED else None
         hint = f"use its real part, {real}" if real else "a metric must be real"
         raise ValueError(f"{field.name} is complex-valued; {hint}")
     g = g.astype(float, copy=False)
-    finite = np.isfinite(g).all(axis=(1, 2))
-    if not finite.all():
-        at = points[int(np.argmin(finite))].tolist()
+    if not np.isfinite(g).all():
+        at = points[int(np.argmin(np.isfinite(g).all(axis=(1, 2))))].tolist()
         raise NumericalError(f"{field.name} is not finite at {at}")
     gt = np.swapaxes(g, 1, 2)
-    scale = np.maximum(np.abs(g).max(axis=(1, 2)), 1.0)
-    if np.any(np.abs(g - gt).max(axis=(1, 2)) > SYMMETRY_ATOL * scale):
-        raise NumericalError("metric field returned a non-symmetric matrix")
+    if not (g == gt).all():  # an exactly symmetric stack needs no tolerance test
+        scale = np.maximum(np.abs(g).max(axis=(1, 2)), 1.0)
+        if np.any(np.abs(g - gt).max(axis=(1, 2)) > SYMMETRY_ATOL * scale):
+            raise NumericalError("metric field returned a non-symmetric matrix")
     return 0.5 * (g + gt)
 
 
@@ -208,22 +210,56 @@ def default_steps(x: np.ndarray, step=None) -> np.ndarray:
     return arr
 
 
+@functools.cache
+def _signs(dim: int, own: int) -> np.ndarray:
+    """(2d + 1, d) offset signs: the rows +e_0, -e_0, +e_1, ..., -e_{d-1},
+    with a row of -0.0 (the point itself) inserted at index `own`.
+
+    Off the shifted coordinate each row holds -0.0, so a stencil is one
+    broadcast add y + hh * signs: with hh > 0, hh_j * (-0.0) is -0.0 and
+    y_j + (-0.0) is y_j bitwise, signed zeros included, and y_k + (-hh_k)
+    is y_k - hh_k.
+    """
+    signs = np.full((2 * dim, dim), -0.0)
+    k = np.arange(dim)
+    signs[2 * k, k] = 1.0
+    signs[2 * k + 1, k] = -1.0
+    signs = np.insert(signs, own, -0.0, axis=0)
+    signs.flags.writeable = False
+    return signs
+
+
 def _shifted(y: np.ndarray, hh: np.ndarray) -> np.ndarray:
-    """(..., 2d, d): y + hh_0 e_0, y - hh_0 e_0, y + hh_1 e_1, ... for each y."""
-    k = np.arange(len(hh))
-    out = np.repeat(y[..., None, :], 2 * len(hh), axis=-2)
-    out[..., 2 * k, k] += hh
-    out[..., 2 * k + 1, k] -= hh
-    return out
+    """(..., 2d, d): y + hh_0 e_0, y - hh_0 e_0, y + hh_1 e_1, ... for each y;
+    hh (..., d) broadcasts against y's leading axes."""
+    return y[..., None, :] + hh[..., None, :] * _signs(hh.shape[-1], 0)[1:]
 
 
 class _Centers(NamedTuple):
-    """Stencil rows of C derivative centers at one FD step."""
+    """Stencil rows of C derivative centers at each of S FD steps."""
 
-    own: np.ndarray    # (C,) the center itself
-    plus: np.ndarray   # (C, d) center + hh_k e_k
-    minus: np.ndarray  # (C, d) center - hh_k e_k
-    hh: np.ndarray
+    own: np.ndarray    # (S, C) the center itself
+    plus: np.ndarray   # (S, C, d) center + hh_k e_k
+    minus: np.ndarray  # (S, C, d) center - hh_k e_k
+    hh: np.ndarray     # (S, d)
+
+
+def _center_points(centers: np.ndarray, hh: np.ndarray) -> np.ndarray:
+    """(S, C, 1 + 2d, d): each center of the (S, C, d) stack, then its
+    neighbours center +- hh[s, k] e_k at its step s."""
+    return centers[..., None, :] + (hh[:, None, :] * _signs(hh.shape[-1], 0))[:, None]
+
+
+def _split(rows: np.ndarray, hh: np.ndarray) -> _Centers:
+    """The _Centers of the stencil rows of `_center_points`."""
+    return _Centers(rows[..., 0], rows[..., 1::2], rows[..., 2::2], hh)
+
+
+def _riemann_points(x: np.ndarray, hh: np.ndarray) -> np.ndarray:
+    """Stencil points of the Riemann tensor at x for each step of the (S, d)
+    stack hh: the Christoffel centers x + hh_k e_k, x - hh_k e_k for each k,
+    then x itself, each with its neighbours (`_center_points`)."""
+    return _center_points(x + hh[:, None, :] * _signs(len(x), 2 * len(x)), hh)
 
 
 class _Stencil:
@@ -231,45 +267,31 @@ class _Stencil:
 
     Points are keyed by their exact bytes, not by closeness: x + h - h that
     does not round back to x is its own point, so every value is the one the
-    bare field returns there. `evaluate` then calls the field once per point
-    and the FD algebra indexes the resulting (P, d, d) stack.
+    bare field returns there. The field is called once, on the stack of
+    distinct points, and the FD algebra indexes the resulting (P, d, d)
+    stack through `rows`, the row of each given point in it.
     """
 
-    def __init__(self):
-        self._rows: dict[bytes, int] = {}
-
-    def rows(self, points: np.ndarray) -> np.ndarray:
-        """Stack rows of points (..., d), numbering new ones in order."""
-        raw = np.ascontiguousarray(points, dtype=float).tobytes()
+    def __init__(self, field: MetricField, points: np.ndarray):
+        points = np.ascontiguousarray(points, dtype=float)
         width = 8 * points.shape[-1]
-        rows = self._rows
-        index = [rows.setdefault(raw[i:i + width], len(rows))
-                 for i in range(0, len(raw), width)]
-        return np.array(index).reshape(points.shape[:-1])
-
-    def centers(self, centers: np.ndarray, hh: np.ndarray) -> _Centers:
-        """Each center (C, d) with its neighbours center +- hh_k e_k."""
-        rows = self.rows(np.concatenate([centers[:, None], _shifted(centers, hh)], axis=1))
-        return _Centers(rows[:, 0], rows[:, 1::2], rows[:, 2::2], hh)
-
-    def riemann_centers(self, x: np.ndarray, hh: np.ndarray) -> _Centers:
-        """x + hh_k e_k, x - hh_k e_k for each k, then x itself."""
-        return self.centers(np.concatenate([_shifted(x, hh), x[None]]), hh)
-
-    def evaluate(self, field: MetricField) -> np.ndarray:
-        self.points = np.frombuffer(b"".join(self._rows)).reshape(len(self._rows), -1).copy()
+        keys = points.view(np.dtype((np.void, width))).ravel().tolist()
+        numbered: dict[bytes, int] = {}
+        index = [numbered.setdefault(key, len(numbered)) for key in keys]
+        self.rows = np.array(index).reshape(points.shape[:-1])
+        self.points = np.frombuffer(b"".join(numbered)).reshape(len(numbered), -1).copy()
         self.values = _evaluate(field, self.points)
-        return self.values
 
 
 def _derivatives(g: np.ndarray, plus: np.ndarray, minus: np.ndarray,
                  hh: np.ndarray) -> np.ndarray:
-    """dg[..., k, i, j] = d_k g_ij by central differences over stacked rows."""
-    return (g[plus] - g[minus]) / (2 * hh)[:, None, None]
+    """dg[..., k, i, j] = d_k g_ij by central differences over stacked rows;
+    hh (..., d) broadcasts against the leading axes of plus and minus."""
+    return (g[plus] - g[minus]) / (2 * hh)[..., None, None]
 
 
 def _inverses(st: _Stencil, rows: np.ndarray) -> np.ndarray:
-    """Inverse metrics at the given rows, via diagonal equilibration.
+    """Inverse metrics at the given rows (any shape), via diagonal equilibration.
 
     Metrics near a phase transition are badly scaled (entries spanning many
     decades) without being singular; the conditioning test and the
@@ -279,14 +301,14 @@ def _inverses(st: _Stencil, rows: np.ndarray) -> np.ndarray:
     det = 0). The first failing row, in order, is the one reported.
     """
     g = st.values[rows]
-    d = np.sqrt(np.abs(np.diagonal(g, axis1=1, axis2=2)))
-    vanishing = np.any(d == 0, axis=1)
+    d = np.sqrt(np.abs(np.diagonal(g, axis1=-2, axis2=-1)))
+    vanishing = ~d.all(axis=-1)
     d[vanishing] = 1.0  # keeps the batch finite; those rows raise below
-    dd = d[:, :, None] * d[:, None, :]
+    dd = d[..., :, None] * d[..., None, :]
     scaled = g / dd
     failed = vanishing | (np.linalg.cond(scaled) > COND_LIMIT)
     if failed.any():
-        c = int(np.argmax(failed))
+        c = np.unravel_index(np.argmax(failed), failed.shape)
         at = st.points[rows[c]].tolist()
         if vanishing[c]:
             raise NumericalError(f"metric has a vanishing diagonal entry at {at}")
@@ -295,26 +317,26 @@ def _inverses(st: _Stencil, rows: np.ndarray) -> np.ndarray:
 
 
 def _christoffel(st: _Stencil, c: _Centers) -> tuple[np.ndarray, np.ndarray]:
-    """(Gamma[c, i, j, k] = Gamma^i_jk, inverse metric) at every center."""
+    """(Gamma[s, c, i, j, k] = Gamma^i_jk, inverse metric) at every center."""
     ginv = _inverses(st, c.own)
-    dg = _derivatives(st.values, c.plus, c.minus, c.hh)
+    dg = _derivatives(st.values, c.plus, c.minus, c.hh[:, None])
     # Gamma^i_jk = 1/2 g^il (d_k g_lj + d_j g_lk - d_l g_jk)
-    braces = np.einsum('cklj->cljk', dg) + np.einsum('cjlk->cljk', dg) - dg
-    return 0.5 * np.einsum('cil,cljk->cijk', ginv, braces), ginv
+    braces = dg.transpose(0, 1, 3, 4, 2) + dg.transpose(0, 1, 3, 2, 4) - dg
+    return 0.5 * np.einsum('...il,...ljk->...ijk', ginv, braces), ginv
 
 
 def _riemann(st: _Stencil, c: _Centers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(R^i_jkl, Gamma^i_jk, g^ij) at x, for centers from `riemann_centers`."""
+    """(R^i_jkl, Gamma^i_jk, g^ij) at x for each step, for `_riemann_points`."""
     gam, ginv = _christoffel(st, c)
-    dim = len(c.hh)
-    # dgam[k, i, j, l] = d_k Gamma^i_jl
-    dgam = (gam[0:2 * dim:2] - gam[1:2 * dim:2]) / (2 * c.hh)[:, None, None, None]
-    gam = gam[-1]
-    term1 = np.einsum('kilj->ijkl', dgam)
-    term2 = np.einsum('likj->ijkl', dgam)
-    term3 = np.einsum('slj,iks->ijkl', gam, gam)
-    term4 = np.einsum('skj,ils->ijkl', gam, gam)
-    return term1 - term2 + term3 - term4, gam, ginv[-1]
+    dim = c.hh.shape[-1]
+    # dgam[s, k, i, j, l] = d_k Gamma^i_jl
+    dgam = (gam[:, 0:2 * dim:2] - gam[:, 1:2 * dim:2]) / (2 * c.hh)[..., None, None, None]
+    gam = gam[:, -1]
+    term1 = dgam.transpose(0, 2, 4, 1, 3)  # d_k Gamma^i_lj
+    term2 = dgam.transpose(0, 2, 4, 3, 1)  # d_l Gamma^i_kj
+    term3 = np.einsum('...slj,...iks->...ijkl', gam, gam)  # Gamma^s_lj Gamma^i_ks
+    term4 = term3.swapaxes(-2, -1)  # Gamma^s_kj Gamma^i_ls
+    return term1 - term2 + term3 - term4, gam, ginv[:, -1]
 
 
 def _resolved(field: MetricField, x: np.ndarray, step) -> tuple[np.ndarray, np.ndarray]:
@@ -327,43 +349,34 @@ def metric_derivatives(field: MetricField, x: np.ndarray,
                        step=None) -> np.ndarray:
     """dg[k, i, j] = d_k g_ij by central differences."""
     x, h = _resolved(field, x, step)
-    st = _Stencil()
-    rows = st.rows(_shifted(x, h))
-    return _derivatives(st.evaluate(field), rows[0::2], rows[1::2], h)
+    st = _Stencil(field, _shifted(x, h))
+    return _derivatives(st.values, st.rows[0::2], st.rows[1::2], h)
 
 
 def christoffel(field: MetricField, x: np.ndarray, step=None) -> np.ndarray:
     """Gamma[i, j, k] = Gamma^i_jk; symmetric in (j, k) by construction."""
     x, h = _resolved(field, x, step)
-    st = _Stencil()
-    c = st.centers(x[None], h)
-    st.evaluate(field)
-    return _christoffel(st, c)[0][0]
+    st = _Stencil(field, _center_points(x[None, None], h[None]))
+    return _christoffel(st, _split(st.rows, h[None]))[0][0, 0]
 
 
 def riemann(field: MetricField, x: np.ndarray, step=None) -> np.ndarray:
     """R[i, j, k, l] = R^i_jkl from FD derivatives of the Christoffel field."""
     x, h = _resolved(field, x, step)
-    st = _Stencil()
-    c = st.riemann_centers(x, h)
-    st.evaluate(field)
-    return _riemann(st, c)[0]
+    st = _Stencil(field, _riemann_points(x, h[None]))
+    return _riemann(st, _split(st.rows, h[None]))[0][0]
 
 
 def ricci_scalar(field: MetricField, x: np.ndarray,
                  step=None) -> tuple[np.ndarray, float]:
     """(Ricci tensor, scalar R); the scalar gets Richardson extrapolation."""
     x, h = _resolved(field, x, step)
-    st = _Stencil()
-    steps = [st.riemann_centers(x, hh) for hh in (h, h / 2)]
-    st.evaluate(field)
-    out = []
-    for c in steps:
-        r4, _, ginv = _riemann(st, c)
-        ric = np.einsum('kjkl->jl', r4)
-        out.append((ric, float(np.einsum('jl,jl->', ginv, ric))))
-    (ric, scalar), (ric2, scalar2) = out
-    return (4 * ric2 - ric) / 3, (4 * scalar2 - scalar) / 3
+    hh = h * np.array([[1.0], [0.5]])  # the steps h and h/2
+    st = _Stencil(field, _riemann_points(x, hh))
+    r4, _, ginv = _riemann(st, _split(st.rows, hh))
+    ric = np.einsum('...kjkl->...jl', r4)
+    scalar = np.einsum('...jl,...jl->...', ginv, ric)
+    return (4 * ric[1] - ric[0]) / 3, float((4 * scalar[1] - scalar[0]) / 3)
 
 
 def flatness_threshold(g: np.ndarray, x: np.ndarray,
@@ -386,16 +399,15 @@ class CurvatureReport:
 def curvature_report(field: MetricField, x: np.ndarray,
                      step=None) -> CurvatureReport:
     x, h = _resolved(field, x, step)
-    st = _Stencil()
-    half, full = st.riemann_centers(x, h / 2), st.riemann_centers(x, h)
-    st.evaluate(field)
-    r4_half, gam_half, ginv = _riemann(st, half)
-    r4_full, gam_full, _ = _riemann(st, full)
+    hh = h * np.array([[0.5], [1.0]])  # the steps h/2 and h
+    st = _Stencil(field, _riemann_points(x, hh))
+    c = _split(st.rows, hh)
+    (r4_half, r4_full), (gam_half, gam_full), ginv = _riemann(st, c)
     gam = (4 * gam_half - gam_full) / 3
     r4 = (4 * r4_half - r4_full) / 3
     ric = np.einsum('kjkl->jl', r4)
-    g = st.values[half.own[-1]]
-    scalar = float(np.einsum('jl,jl->', ginv, ric))
+    g = st.values[c.own[0, -1]]
+    scalar = float(np.einsum('jl,jl->', ginv[0], ric))
     thresh = flatness_threshold(g, x)
     return CurvatureReport(gam, r4, ric, scalar,
                            bool(np.abs(r4).max() <= thresh), thresh)
@@ -407,41 +419,38 @@ def scalar_2d_direct(field: MetricField, x: np.ndarray, step=None) -> float:
     R = (1/sqrt g) { d_1 [ (1/sqrt g)((g12/g11) d_2 g11 - d_1 g22) ]
                    + d_2 [ (1/sqrt g)(2 d_1 g12 - d_2 g11 - (g12/g11) d_1 g11) ] }
     with g = det(g_ij); requires g11 bounded away from zero. The two
-    brackets are evaluated at the four centers x +- hh_k e_k at once.
+    brackets are evaluated at the four centers x +- hh_k e_k of both
+    Richardson steps at once.
     """
     if field.dim != 2:
         raise ValueError("the direct expression is for 2D metrics only")
     x, h = _resolved(field, x, step)
-    st = _Stencil()
-    st.rows(x)
-    steps = [st.centers(_shifted(x, hh), hh) for hh in (h, h / 2)]
-    g = st.evaluate(field)
-    # `v ** 2` on a NumPy scalar is C pow, which can round differently from
-    # the array square in the last bit; determinants are formed from scalars
-    # so the bits match the per-point recursion in tests/geometry_reference.py
-    det = g[0, 0, 0] * g[0, 1, 1] - g[0, 0, 1] ** 2
-
-    def once(c: _Centers) -> float:
-        gc = g[c.own]
-        dets = np.array([m[0, 0] * m[1, 1] - m[0, 1] ** 2 for m in gc])
-        g11, g12 = gc[:, 0, 0], gc[:, 0, 1]
-        vanishing = np.abs(g11) < 1e-14 * np.maximum(np.abs(gc).max(axis=(1, 2)), 1.0)
-        failed = vanishing | (dets <= 0)
-        if failed.any():
-            if vanishing[np.argmax(failed)]:
-                raise NumericalError("g11 vanishes; direct 2D expression inapplicable")
-            raise NumericalError("metric determinant must be positive")
-        dg = _derivatives(g, c.plus, c.minus, c.hh)
-        root = np.sqrt(dets)
-        brackets = ((g12 / g11 * dg[:, 1, 0, 0] - dg[:, 0, 1, 1]) / root,
-                    (2 * dg[:, 0, 0, 1] - dg[:, 1, 0, 0] - g12 / g11 * dg[:, 0, 0, 0]) / root)
-        total = 0.0
-        for k in range(2):
-            total += (brackets[k][2 * k] - brackets[k][2 * k + 1]) / (2 * c.hh[k])
-        return total / math.sqrt(det)
-
-    r = once(steps[0])
-    return (4 * once(steps[1]) - r) / 3
+    hh = h * np.array([[1.0], [0.5]])  # the steps h and h/2
+    points = _center_points(_shifted(x, hh), hh)
+    st = _Stencil(field, np.concatenate([x[None], points.reshape(-1, 2)]))
+    c = _split(st.rows[1:].reshape(points.shape[:-1]), hh)
+    g = st.values
+    # `v ** 2` on a float is C pow, which can round differently from the
+    # array square in the last bit; determinants are formed from floats so
+    # the bits match the per-point recursion in tests/geometry_reference.py
+    det = np.array([g11 * g22 - g12 ** 2 for g11, g12, _, g22 in g.reshape(-1, 4).tolist()])
+    gc, dets = g[c.own], det[c.own]
+    g11, g12 = gc[..., 0, 0], gc[..., 0, 1]
+    vanishing = np.abs(g11) < 1e-14 * np.maximum(np.abs(gc).max(axis=(-2, -1)), 1.0)
+    failed = vanishing | (dets <= 0)
+    if failed.any():
+        if vanishing.flat[np.argmax(failed)]:
+            raise NumericalError("g11 vanishes; direct 2D expression inapplicable")
+        raise NumericalError("metric determinant must be positive")
+    dg = _derivatives(g, c.plus, c.minus, hh[:, None])
+    root = np.sqrt(dets)
+    brackets = ((g12 / g11 * dg[..., 1, 0, 0] - dg[..., 0, 1, 1]) / root,
+                (2 * dg[..., 0, 0, 1] - dg[..., 1, 0, 0] - g12 / g11 * dg[..., 0, 0, 0]) / root)
+    total = 0.0
+    for k in range(2):
+        total = total + (brackets[k][:, 2 * k] - brackets[k][:, 2 * k + 1]) / (2 * hh[:, k])
+    r, r2 = total / math.sqrt(det[0])  # x is the first point
+    return (4 * r2 - r) / 3
 
 
 def beltrami_residual(model: Model, point: ParamPoint, qn: Sequence[int],

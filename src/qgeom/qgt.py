@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import StateTrackingError
+from .errors import DomainError, StateTrackingError
 from .fock import FockBasis, Spectrum, eigh, quadratics
 from .gauss import CovarianceMatrix, add_half_omega, quadrature_swap
 from .models.base import Model, ParamPoint
@@ -308,7 +308,13 @@ def qgt_overlap_fd(model: Model, point: ParamPoint, sel: StateSelector,
         key = (i, sign, float(h))
         if key not in cache:
             shifted = point.shifted(i, sign * h)
-            model.validate(shifted)
+            try:
+                model.validate(shifted)
+            except DomainError as exc:
+                at = ", ".join(f"{n}={v:g}" for n, v in zip(shifted.names, shifted.values))
+                raise DomainError(
+                    f"overlap-fd: the central difference at step h={h:g} in "
+                    f"{point.names[i]} leaves the domain at ({at}): {exc}") from None
             cache[key] = eigh(model.hamiltonian(shifted, fb))
         return cache[key]
 

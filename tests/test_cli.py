@@ -46,6 +46,39 @@ def test_eval_domain_message(capsys):
     assert "XZ - Y^2" in captured.err
 
 
+@pytest.mark.parametrize("cutoff, code, failed", [
+    pytest.param("16", 3, ["phase:perturbative-vs-covariance", "param:perturbative-vs-closed"],
+                 id="cutoff-16-fails"),
+    pytest.param("24", 0, [], id="cutoff-24-passes"),
+])
+def test_eval_exit_code_follows_the_comparisons(capsys, tmp_path, cutoff, code, failed):
+    # every row is written either way; a failed comparison exits 3 and says so
+    out_file = tmp_path / "eval.csv"
+    assert main(["eval", "--model", "lin-coupled", "--point", "0.7,1.9,0.4", "--n", "2,1",
+                 CUT, cutoff, "--method", "all", "--out", str(out_file)]) == code
+    _, rows = parse_csv(out_file.read_text())
+    assert [r["method"] for r in rows] == ["perturbative", "overlap-fd", "covariance",
+                                          "closed-form", "agreement"]
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split()[2] for line in lines] == failed
+    for line, name in zip(lines, failed):
+        dev, tol = rows[-1][f"dev[{name}]"], rows[-1][f"tol[{name}]"]
+        assert float(dev) > float(tol)
+        assert f"{float(dev):.3g}" in line and f"tolerance {float(tol):g}" in line
+        assert f"a --cutoff above {cutoff} may resolve it" in line
+
+
+def test_eval_overlap_fd_off_the_domain_edge_exit_2(capsys):
+    # C = 0 is on the lin-coupled domain edge; the C - h stencil point is not
+    code = main(["eval", "--model", "lin-coupled", "--point", "1,2,0", CUT, "8",
+                 "--method", "overlap-fd"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "domain error: overlap-fd: the central difference at step h=0.0001 in C "
+        "leaves the domain at (A=1, B=2, C=-0.0001): need C >= 0 (implemented "
+        "branch), got C=-0.0001\n")
+
+
 def _run_python(*args):
     """A fresh interpreter that imports this checkout's qgeom."""
     src = Path(__file__).resolve().parents[1] / "src"
@@ -84,10 +117,7 @@ def test_expression_failure_exit_2(capsys, sigma):
 
 
 def test_unknown_model_exit_2(capsys):
-    import subprocess, sys
-    proc = subprocess.run([sys.executable, "-m", "qgeom.cli", "eval",
-                           "--model", "bogus", "--point", "1"],
-                          capture_output=True, text=True)
+    proc = _run_python("-m", "qgeom.cli", "eval", "--model", "bogus", "--point", "1")
     assert proc.returncode == 2
 
 

@@ -420,6 +420,11 @@ def _reference_cases():
         geometry.metric_field(sym, "phase_metric_reduced", (0, 0)),
         np.array([1.3, 0.7]), ("log", "linear"))
     cases.append(("chart-sym-phase-reduced", chart, u0))
+    # Y = -0.0: a shift along X leaves it -0.0; a +0.0 offset would make it
+    # +0.0, a point of other bytes, and so add stencil points
+    cases.append(("gho-Z1-signed-zero", geometry.metric_field(
+        gho, "metric_sub:Z", (1,), coords=("X", "Y"), fixed={"Z": 1.0}), [1.3, -0.0]))
+    cases.append(("sphere-signed-zero", sphere_field(), [0.9, -0.0]))
     return [pytest.param(field, x, id=name) for name, field, x in cases]
 
 
@@ -509,8 +514,8 @@ def test_engine_errors_match_reference(call):
         assert "vanishing diagonal" in str(err)
 
 
-def test_one_inverse_and_condition_number_per_richardson_step(monkeypatch):
-    # the centers of a step share one cond and one inv, not one per center
+def test_one_inverse_and_condition_number_per_call(monkeypatch):
+    # both Richardson steps and all their centers share one cond and one inv
     counts = collections.Counter()
     for name in ("inv", "cond"):
         real = getattr(np.linalg, name)
@@ -521,8 +526,10 @@ def test_one_inverse_and_condition_number_per_richardson_step(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     f = geometry.metric_field(get_model("lin-coupled"), "metric", (0, 0))
-    geometry.ricci_scalar(f, np.array([1.0, 2.0, 1.0]))
-    assert counts == {"inv": 2, "cond": 2}
+    for call in (geometry.ricci_scalar, geometry.curvature_report):
+        counts.clear()
+        call(f, np.array([1.0, 2.0, 1.0]))
+        assert counts == {"inv": 1, "cond": 1}, call.__name__
 
 
 def test_parameter_read_of_a_phase_metric_names_the_mismatch():
