@@ -15,8 +15,13 @@ for two: 128 MB for a real two-mode basis at cutoff 200. An operator
 without q_a or p_a terms commutes with the parity (-1)^(n_1 + ... + n_N),
 and a window may solve one parity sector alone: half the rows and about
 half the bandwidth, so a quarter of the band (32 MB at cutoff 200).
-scipy is imported by the first eigensolve, not with this module, so the
-closed-form and geometry layers run without loading it.
+A full-spectrum solve runs on numpy's LAPACK while the two n x n arrays
+numpy holds beyond scipy's in-place solve take at most
+NUMPY_EIGH_MAX_EXTRA_BYTES; only larger full solves and the windows import
+scipy, so the closed-form and geometry layers and the small one-mode solves
+run without loading it. The arrays a basis or a dense solve needs are
+counted before they are allocated, and a size beyond physical memory raises
+DomainError.
 Units: hbar = 1; a mode with basis frequency w_b has q = (a + a^dag)/sqrt(2 w_b)
 and p = i sqrt(w_b/2) (a^dag - a).
 """
@@ -24,13 +29,14 @@ and p = i sqrt(w_b/2) (a^dag - a).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegeneracyError, NumericalError
+from .errors import DegeneracyError, DomainError, NumericalError
 
 # How far an operator handed to `eigh` may be from Hermitian, relative to its
 # largest entry.
@@ -47,6 +53,24 @@ START_VECTOR_SEED = 20240817
 # at cutoff 200, where the extent grows with the cutoff; a margin of 1e-3
 # there cost 52 band solves against 37.
 SHIFT_MARGIN = 1e-6
+# The memory a full-spectrum solve may spend to stay on numpy's LAPACK.
+# numpy.linalg.eigh copies the matrix and returns new eigenvectors: two n x n
+# arrays more than scipy's in-place `eigh(overwrite_a=True)`, the same
+# divide-and-conquer ?syevd/?heevd otherwise. Importing scipy.linalg for a
+# first solve took 23.7-23.8 MB, so numpy solves while its copies cost less:
+# up to 1254 real or 886 complex rows.
+NUMPY_EIGH_MAX_EXTRA_BYTES = 24 * 2**20
+PHYSICAL_MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _require_memory(nbytes: int, what: str) -> None:
+    """Raise DomainError, before any allocation, if `what` needs more than
+    the machine's physical memory."""
+    if nbytes > PHYSICAL_MEMORY_BYTES:
+        raise DomainError(
+            f"{what} needs {nbytes / 2**30:.3g} GiB, more than the "
+            f"{PHYSICAL_MEMORY_BYTES / 2**30:.3g} GiB of physical memory"
+        )
 
 
 @dataclass(frozen=True)
@@ -207,8 +231,15 @@ def monomials(modes: int, cutoff: int) -> Monomials:
 
     Single-mode factors are dense cutoff x cutoff matrices. A multimode
     monomial is the Kronecker product of its factors, which keeps their
-    exact (anti)symmetry.
+    exact (anti)symmetry. A basis whose factors (a dozen live at once) and
+    monomial data (at most 2 m^2 + 2 m + 1 entries per row for m modes: the
+    occupation steps of total size <= 2) exceed physical memory raises
+    DomainError first.
     """
+    dim = cutoff ** modes
+    count = 1 + 3 * modes + modes * (modes + 1)  # 1, q, p, qp; qq and pp (a <= b)
+    _require_memory(8 * (12 * cutoff**2 + count * dim * (2 * modes**2 + 2 * modes + 1)),
+                    f"a {modes}-mode Fock basis at cutoff {cutoff}")
     a = np.diag(np.sqrt(np.arange(1, cutoff)), 1)
     eye = np.eye(cutoff)
     q = (a + a.T) / math.sqrt(2.0)
@@ -234,7 +265,6 @@ def monomials(modes: int, cutoff: int) -> Monomials:
     for m in range(modes):
         terms[("qp", m)] = (placed({m: 0.5 * (qp - qp.T)}), 1j, (m, modes + m))
 
-    dim = cutoff ** modes
     nonzeros = [_kron_entries(factors) for factors, *_ in terms.values()]
     pattern = Pattern.of(np.concatenate([e[0] for e in nonzeros]),
                          np.concatenate([e[1] for e in nonzeros]), dim)
@@ -467,6 +497,26 @@ def _lowest_levels(pattern: Pattern, data: np.ndarray, k: int):
     return energies[order], states[:, order]
 
 
+def _all_levels(pattern: Pattern, data: np.ndarray):
+    """Every eigenpair by divide and conquer (?syevd/?heevd) on the lower
+    triangle: numpy's LAPACK while its two extra n x n arrays fit in
+    NUMPY_EIGH_MAX_EXTRA_BYTES, else scipy's, overwriting the matrix. Both
+    also hold LAPACK's 2 n^2 workspace."""
+    n, itemsize = pattern.dim, data.dtype.itemsize
+    extra = 2 * n * n * itemsize
+    on_numpy = extra <= NUMPY_EIGH_MAX_EXTRA_BYTES
+    _require_memory(3 * n * n * itemsize + (extra if on_numpy else 0),
+                    f"a dense eigensolve of dim {n}")
+    # Fortran order lets scipy overwrite the matrix with the eigenvectors
+    dense = np.zeros((n, n), dtype=data.dtype, order="F")
+    dense[pattern.rows, pattern.cols] = data
+    if on_numpy:
+        return np.linalg.eigh(dense)
+    import scipy.linalg
+
+    return scipy.linalg.eigh(dense, driver="evd", overwrite_a=True, check_finite=False)
+
+
 def eigh(op: Operator, lowest: int | None = None,
          parity: int | None = None) -> Spectrum:
     """Gauge-fixed Hermitian eigendecomposition, ascending.
@@ -474,8 +524,11 @@ def eigh(op: Operator, lowest: int | None = None,
     op is an Operator from `form_operators`, whose matrix must be Hermitian
     to OPERATOR_HERMITICITY_RTOL (else ValueError); a NaN or inf entry
     raises NumericalError before any solve. By default every level comes
-    from dense LAPACK (evd driver). lowest=k asks for the k lowest levels
-    only, from shift-invert Lanczos (ARPACK, fixed start vector) on a banded
+    from dense divide-and-conquer LAPACK: numpy's up to
+    NUMPY_EIGH_MAX_EXTRA_BYTES of extra copies, scipy's in place above, so
+    scipy is imported only by a larger full solve or a window. A dense
+    solve beyond physical memory raises DomainError. lowest=k asks for the
+    k lowest levels only, from shift-invert Lanczos (ARPACK, fixed start vector) on a banded
     Cholesky factor of H - sigma, sigma below the Gershgorin bound; the band
     takes (kd + 1) * dim entries for half-bandwidth kd. k >= dim - 1 takes
     the full solve.
@@ -500,13 +553,7 @@ def eigh(op: Operator, lowest: int | None = None,
     if lowest is not None and lowest < pattern.dim - 1:
         energies, states = _lowest_levels(pattern, data, lowest)
     else:
-        import scipy.linalg
-
-        # Fortran order lets LAPACK overwrite the matrix with the eigenvectors
-        dense = np.zeros((pattern.dim, pattern.dim), dtype=data.dtype, order="F")
-        dense[pattern.rows, pattern.cols] = data
-        energies, states = scipy.linalg.eigh(dense, driver="evd", overwrite_a=True,
-                                             check_finite=False)
+        energies, states = _all_levels(pattern, data)
     states *= _gauge_phases(states)  # the solver's own array: no copy
     if parity is not None:
         full = np.zeros((op.dim, states.shape[1]), dtype=states.dtype)

@@ -20,8 +20,9 @@ deduplicated by the exact bytes of each point. It calls the field once, on
 the stack of distinct points in that order, and checks the stack of values
 once. It then runs the FD algebra as one array pass over all centers of all
 steps, the step being a leading axis: one metric-derivative stack, one
-equilibrated `cond` and one `inv`, one einsum for the Christoffel symbols
-and one Riemann assembly. Nothing is kept after the call returns.
+equilibrated conditioning test (`eigvalsh`) and one `inv`, one einsum for
+the Christoffel symbols and one Riemann assembly. Nothing is kept after the
+call returns.
 """
 
 from __future__ import annotations
@@ -306,7 +307,9 @@ def _inverses(st: _Stencil, rows: np.ndarray) -> np.ndarray:
     d[vanishing] = 1.0  # keeps the batch finite; those rows raise below
     dd = d[..., :, None] * d[..., None, :]
     scaled = g / dd
-    failed = vanishing | (np.linalg.cond(scaled) > COND_LIMIT)
+    # D g D is symmetric, so its 2-norm condition number is max|l| / min|l|
+    lam = np.abs(np.linalg.eigvalsh(scaled))
+    failed = vanishing | (lam.max(axis=-1) > COND_LIMIT * lam.min(axis=-1))
     if failed.any():
         c = np.unravel_index(np.argmax(failed), failed.shape)
         at = st.points[rows[c]].tolist()

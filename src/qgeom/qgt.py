@@ -4,7 +4,8 @@ Pathways over a (model, point, state):
   * qgt_perturbative  - spectral sum over deformation matrix elements,
     G_AB = sum_{m != n} <n|O_A|m><m|O_B|n> / (E_m - E_n)^2, all index keys
     (parameters and phase-space translations).
-  * qgt_overlap_fd    - central differences of gauge-fixed eigenvectors,
+  * qgt_overlap_fd    - central differences of gauge-fixed eigenvectors
+    (one-sided at a domain edge),
     G_ij = <d_i n|d_j n> - <d_i n|n><n|d_j n> (parameter block only).
   * covariance_from_state + phase_block_from_covariance - second moments
     mapped onto the phase-space block by the two `gauss` maps
@@ -29,7 +30,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, StateTrackingError
+from .errors import DomainError, NumericalError, StateTrackingError
 from .fock import FockBasis, Spectrum, eigh, quadratics
 from .gauss import CovarianceMatrix, add_half_omega, quadrature_swap
 from .models.base import Model, ParamPoint
@@ -296,6 +297,9 @@ def qgt_overlap_fd(model: Model, point: ParamPoint, sel: StateSelector,
     Displaced eigenvectors are matched to the center state by overlap and
     phase-aligned to it, which makes the result invariant under any incoming
     eigenvector phases (pass phase_rng to twist them deliberately and check).
+    Where x - h or x + h leaves the model's domain, the derivative in that
+    parameter is the second-order one-sided (-3 v(x) + 4 v(x + h) - v(x + 2h))
+    / (2h) on the side where both points fit; DomainError only if neither does.
     """
     model.validate(point)
     spec = spectrum if spectrum is not None else eigh(model.hamiltonian(point, fb))
@@ -303,29 +307,42 @@ def qgt_overlap_fd(model: Model, point: ParamPoint, sel: StateSelector,
         state = select_state(model, point, sel, fb, spectrum=spec)
     steps = _fd_steps(point, step)
     cache = cache if cache is not None else {}
-
-    def displaced(i: int, sign: int, h: float) -> Spectrum:
-        key = (i, sign, float(h))
-        if key not in cache:
-            shifted = point.shifted(i, sign * h)
-            try:
-                model.validate(shifted)
-            except DomainError as exc:
-                at = ", ".join(f"{n}={v:g}" for n, v in zip(shifted.names, shifted.values))
-                raise DomainError(
-                    f"overlap-fd: the central difference at step h={h:g} in "
-                    f"{point.names[i]} leaves the domain at ({at}): {exc}") from None
-            cache[key] = eigh(model.hamiltonian(shifted, fb))
-        return cache[key]
-
     ref = state.vector.astype(complex)
-    derivs = []
-    for i in range(len(point.values)):
-        plus = _tracked_vector(displaced(i, +1, steps[i]), ref, state.energy,
+
+    def key(i: int, delta: float) -> tuple:
+        return i, 1 if delta > 0 else -1, float(abs(delta))
+
+    def outside(i: int, delta: float) -> str | None:
+        """Why x + delta e_i leaves the domain; None if it fits."""
+        if key(i, delta) in cache:
+            return None
+        shifted = point.shifted(i, delta)
+        try:
+            model.validate(shifted)
+        except DomainError as exc:
+            at = ", ".join(f"{n}={v:g}" for n, v in zip(shifted.names, shifted.values))
+            return f"({at}): {exc}"
+        return None
+
+    def twin(i: int, delta: float) -> np.ndarray:
+        if key(i, delta) not in cache:
+            cache[key(i, delta)] = eigh(model.hamiltonian(point.shifted(i, delta), fb))
+        return _tracked_vector(cache[key(i, delta)], ref, state.energy,
                                sel.min_overlap, phase_rng)
-        minus = _tracked_vector(displaced(i, -1, steps[i]), ref, state.energy,
-                                sel.min_overlap, phase_rng)
-        derivs.append((plus - minus) / (2 * steps[i]))
+
+    def derivative(i: int, h: float) -> np.ndarray:
+        problem = outside(i, h) or outside(i, -h)
+        if problem is None:
+            return (twin(i, h) - twin(i, -h)) / (2 * h)
+        for sign in (1, -1):
+            if not (outside(i, sign * h) or outside(i, 2 * sign * h)):
+                return sign * (4 * twin(i, sign * h) - twin(i, 2 * sign * h)
+                               - 3 * ref) / (2 * h)
+        raise DomainError(
+            f"overlap-fd: at step h={h:g} in {point.names[i]}, neither the central "
+            f"nor a one-sided difference fits in the domain; it leaves it at {problem}")
+
+    derivs = [derivative(i, steps[i]) for i in range(len(point.values))]
     n = len(derivs)
     g = np.empty((n, n), dtype=complex)
     for i in range(n):
@@ -340,7 +357,9 @@ def covariance_from_state(model: Model, point: ParamPoint, sel: StateSelector,
                           fb: FockBasis, *,
                           spectrum: Spectrum | None = None,
                           state: SelectedState | None = None) -> CovarianceMatrix:
-    """Quadrature covariance sigma_ab of the selected eigenstate."""
+    """Quadrature covariance sigma_ab of the selected eigenstate. A
+    covariance that fails `CovarianceMatrix`'s checks raises NumericalError
+    naming the cutoff, whose truncation is the likely cause."""
     model.validate(point)
     if state is None:
         state = select_state(model, point, sel, fb, spectrum=spectrum)
@@ -355,7 +374,11 @@ def covariance_from_state(model: Model, point: ParamPoint, sel: StateSelector,
         for j in range(i, n2):
             moment = np.vdot(images[i], images[j]).real
             sigma[i, j] = sigma[j, i] = moment - firsts[i] * firsts[j]
-    return CovarianceMatrix(fb.modes, sigma)
+    try:
+        return CovarianceMatrix(fb.modes, sigma)
+    except NumericalError as exc:  # a truncated basis can break the bound
+        raise NumericalError(f"{exc} at cutoff {fb.cutoff}; a larger cutoff may "
+                             "resolve it") from None
 
 
 def phase_block_from_covariance(cov: CovarianceMatrix) -> QGTResult:

@@ -69,14 +69,44 @@ def test_eval_exit_code_follows_the_comparisons(capsys, tmp_path, cutoff, code, 
 
 
 def test_eval_overlap_fd_off_the_domain_edge_exit_2(capsys):
-    # C = 0 is on the lin-coupled domain edge; the C - h stencil point is not
-    code = main(["eval", "--model", "lin-coupled", "--point", "1,2,0", CUT, "8",
-                 "--method", "overlap-fd"])
+    # at step 10 both A - h and A + h (so also A + 2h) leave the domain
+    code = main(["eval", "--model", "lin-coupled", "--point", "1,2,1", CUT, "8",
+                 "--method", "overlap-fd", "--fd-step", "10"])
     assert code == 2
     assert capsys.readouterr().err == (
-        "domain error: overlap-fd: the central difference at step h=0.0001 in C "
-        "leaves the domain at (A=1, B=2, C=-0.0001): need C >= 0 (implemented "
-        "branch), got C=-0.0001\n")
+        "domain error: overlap-fd: at step h=10 in A, neither the central nor a "
+        "one-sided difference fits in the domain; it leaves it at (A=11, B=2, C=1): "
+        "need B > A (implemented branch), got A=11.0, B=2.0\n")
+
+
+@pytest.mark.parametrize("n", ["0,0", "1,2", "2,1"])
+def test_eval_overlap_fd_at_the_domain_edge_is_one_sided(capsys, tmp_path, n):
+    # C = 0 is on the lin-coupled domain edge: C - h is not, C + h and C + 2h are
+    out_file = tmp_path / "eval.csv"
+    assert main(["eval", "--model", "lin-coupled", "--point", "1,2,0", "--n", n, CUT, "16",
+                 "--method", "perturbative,overlap-fd", "--out", str(out_file)]) == 0
+    _, rows = parse_csv(out_file.read_text())
+    name = "param:perturbative-vs-overlap-fd"
+    assert float(rows[-1][f"dev[{name}]"]) <= 1e-7 < float(rows[-1][f"tol[{name}]"])
+
+
+def test_truncated_covariance_names_the_cutoff(capsys):
+    # the bound holds at cutoffs 20 and 40; at 10 the truncation breaks it
+    assert main(["eval", "--model", "lin-coupled", "--point", "1,2,1.99999", CUT, "10",
+                 "--method", "all"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: covariance violates the uncertainty bound")
+    assert err.endswith(" at cutoff 10; a larger cutoff may resolve it\n")
+
+
+def test_cutoff_beyond_physical_memory_exit_2():
+    # the dense factors of cutoff 100000 would take 74.5 GiB each
+    done = _run_cli("eval", "--model", "gho", "--point", "2,0.5,1", CUT, "100000",
+                    "--method", "covariance")
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("domain error: a 1-mode Fock basis at cutoff 100000 "
+                                  "needs 894 GiB, more than the ")
+    assert done.stderr.endswith(" GiB of physical memory\n")
 
 
 def _run_python(*args):
@@ -683,7 +713,7 @@ def test_curvature_unknown_coordinates_exit_2(capsys, args, unknown):
 
 
 COLD_START = """
-import json, sys
+import json, math, sys
 import numpy as np
 import qgeom
 from qgeom import cli, fock, gauss, geometry, get_model
@@ -697,34 +727,42 @@ assert cli.main(["curvature", "--model", "lin-coupled", "--point", "1,2,1",
 assert cli.main(["sweep", "--model", "gho-linear", "--axis", "Y=-0.4:0.4:3",
                  "--fix", "W=1", "--fix", "X=1", "--fix", "Z=1", "--n", "1",
                  "--quantities", "det_metric,nu,scalar:param-z1", "--out", sys.argv[2]]) == 0
+assert cli.main(["eval", "--model", "gho", "--point", "2,0.5,1", "--n", "1",
+                 "--method", "all", "--out", sys.argv[3]]) == 0
 cold = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
+# real: the largest cutoff that numpy solves, and one more
+rows = math.isqrt(fock.NUMPY_EIGH_MAX_EXTRA_BYTES // 16)
+cutoff = {"small-dense": rows, "window": 20, "large-dense": rows + 1}[sys.argv[1]]
 model = get_model("gho")
-op = model.hamiltonian(model.point(2.0, 0.5, 1.0), fock.basis(1, 20))
-before = "scipy.linalg" in sys.modules
+op = model.hamiltonian(model.point(2.0, 0.0, 1.0), fock.basis(1, cutoff))
 lowest = 3 if sys.argv[1] == "window" else None
 energies = fock.eigh(op, lowest=lowest).energies
-print(json.dumps({"cold": cold, "before": before,
-                  "after": "scipy.linalg" in sys.modules,
-                  "energies": energies.tolist()}))
+print(json.dumps({"cold": cold, "after": "scipy.linalg" in sys.modules,
+                  "cutoff": cutoff, "energies": energies.tolist()}))
 """
 
 
-@pytest.mark.parametrize("kind", ["operator", "window"])
-def test_scipy_loads_on_the_first_eigensolve(tmp_path, kind):
+@pytest.mark.parametrize("kind", ["small-dense", "window", "large-dense"])
+def test_scipy_loads_only_for_a_window_or_a_large_dense_solve(tmp_path, kind):
     # a fresh process: this one has loaded scipy long ago
-    done = _run_python("-c", COLD_START, kind, str(tmp_path / "out.csv"))
+    done = _run_python("-c", COLD_START, kind, str(tmp_path / "out.csv"),
+                       str(tmp_path / "eval.csv"))
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
-    assert report["cold"] == []  # import, geometry, gauss, curvature, sweep
-    assert not report["before"] and report["after"]
+    # import, geometry, gauss, curvature, sweep and a one-mode eval --method all
+    assert report["cold"] == []
+    assert report["after"] == (kind != "small-dense")
     # the one-mode sweep completed its rows, so the guard covers them
     _, rows = parse_csv((tmp_path / "out.csv").read_text())
     assert len(rows) == 3 and not any(row.get("error") for row in rows)
     assert all(float(row["scalar:param-z1"]) < 0 for row in rows)
+    _, rows = parse_csv((tmp_path / "eval.csv").read_text())
+    assert [row["method"] for row in rows] == ["perturbative", "overlap-fd", "covariance",
+                                              "closed-form", "agreement"]
     from qgeom import fock, get_model
     model = get_model("gho")
-    op = model.hamiltonian(model.point(2.0, 0.5, 1.0), fock.basis(1, 20))
+    op = model.hamiltonian(model.point(2.0, 0.0, 1.0), fock.basis(1, report["cutoff"]))
     expected = fock.eigh(op, lowest=3 if kind == "window" else None).energies
     np.testing.assert_allclose(report["energies"], expected, rtol=1e-13, atol=0)
 

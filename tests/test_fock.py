@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from dense_reference import (assert_hermitian, commutator, dagger, dense,
                              expectation, flagged_gaps, position_momentum,
                              weyl_product)
 from qgeom import fock
-from qgeom.errors import NumericalError
+from qgeom.errors import DomainError, NumericalError
 from qgeom.models import get_model
 
 
@@ -473,3 +474,42 @@ def test_eigh_rejects_non_finite_entries(lowest, bad, where):
     with pytest.raises(NumericalError, match=f"finite matrix entries; found {found} NaN or inf"):
         with np.errstate(invalid="ignore"):
             fock.eigh(fock.Operator(H.monomials, coeffs), lowest=lowest)
+
+
+def _rows_on_numpy(dtype) -> int:
+    """The most rows a full solve of this dtype runs on numpy's LAPACK."""
+    return math.isqrt(fock.NUMPY_EIGH_MAX_EXTRA_BYTES // (2 * np.dtype(dtype).itemsize))
+
+
+@pytest.mark.parametrize("dtype, Y", [(float, 0.0), (complex, 0.5)])
+def test_eigh_agrees_with_scipy_on_both_sides_of_the_numpy_bound(monkeypatch, dtype, Y):
+    # gho's (q p + p q)/2 term is imaginary in the Fock basis, so Y = 0 is real
+    import scipy.linalg
+    calls = []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or real_eigh(a))
+    model = get_model("gho")
+    point = model.point(2.0, Y, 1.0)
+    bound = _rows_on_numpy(dtype)
+    for cutoff in (80, bound, bound + 1):
+        H = model.hamiltonian(point, fock.basis(1, cutoff))
+        calls.clear()
+        spec = fock.eigh(H)
+        assert calls == ([(cutoff, cutoff)] if cutoff <= bound else []), cutoff
+        assert spec.states.dtype == dtype
+        energies, states = scipy.linalg.eigh(dense(H), driver="evd")
+        states = states * fock._gauge_phases(states)
+        np.testing.assert_allclose(spec.energies, energies, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(spec.states, states, rtol=0, atol=1e-12)
+
+
+def test_sizes_beyond_physical_memory_raise_domain_error(monkeypatch):
+    # the guard runs before any allocation: a tiny stated memory trips it
+    H = get_model("gho").hamiltonian(get_model("gho").point(2.0, 0.5, 1.0),
+                                     fock.basis(1, 40))
+    monkeypatch.setattr(fock, "PHYSICAL_MEMORY_BYTES", 4 * 40 * 40 * 16)
+    with pytest.raises(DomainError, match="a dense eigensolve of dim 40 needs"):
+        fock.eigh(H)
+    fock.eigh(H, lowest=3)  # a window needs only its band
+    with pytest.raises(DomainError, match="a 1-mode Fock basis at cutoff 41 needs"):
+        fock.monomials.__wrapped__(1, 41)  # past the cache

@@ -515,9 +515,10 @@ def test_engine_errors_match_reference(call):
 
 
 def test_one_inverse_and_condition_number_per_call(monkeypatch):
-    # both Richardson steps and all their centers share one cond and one inv
+    # both Richardson steps and all their centers share one conditioning
+    # test (eigvalsh of the equilibrated stack) and one inv
     counts = collections.Counter()
-    for name in ("inv", "cond"):
+    for name in ("inv", "eigvalsh"):
         real = getattr(np.linalg, name)
 
         def counted(*args, _real=real, _name=name, **kw):
@@ -529,7 +530,7 @@ def test_one_inverse_and_condition_number_per_call(monkeypatch):
     for call in (geometry.ricci_scalar, geometry.curvature_report):
         counts.clear()
         call(f, np.array([1.0, 2.0, 1.0]))
-        assert counts == {"inv": 1, "cond": 1}, call.__name__
+        assert counts == {"inv": 1, "eigvalsh": 1}, call.__name__
 
 
 def test_parameter_read_of_a_phase_metric_names_the_mismatch():

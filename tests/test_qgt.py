@@ -759,3 +759,29 @@ def test_tracked_vector_matches_full_argmax(dim, levels, picks, seed, complex_st
             return str(exc)
 
     assert tracked(qgt._best_match) == tracked(_full_scan)
+
+
+def test_overlap_fd_is_central_inside_and_one_sided_at_an_edge():
+    # at C = 0 only C's derivative goes one-sided, over C + h and C + 2h; an
+    # interior point is the central difference of its two cached twins, bit
+    # for bit
+    model = get_model("lin-coupled")
+    sel = qgt.selector(1, 0)
+    for C, keys_of_C in ((0.0, [(2, 1, 1e-4), (2, 1, 2e-4)]),
+                         (0.5, [(2, 1, 1e-4), (2, -1, 1e-4)])):
+        point = model.point(1.0, 2.0, C)
+        fb = model.default_basis(point, 12)
+        spec = eigh(model.hamiltonian(point, fb))
+        cache = {}
+        fd = qgt.qgt_overlap_fd(model, point, sel, fb, spectrum=spec, cache=cache)
+        assert sorted(k for k in cache if k[0] == 2) == sorted(keys_of_C)
+        assert len(cache) == 6
+        pert = qgt.qgt_perturbative(model, point, sel, fb, spectrum=spec)
+        assert np.abs(fd.values - pert.parameter_block(model)).max() <= 1e-7
+    state = qgt.select_state(model, point, sel, fb, spectrum=spec)
+    ref = state.vector.astype(complex)
+    twins = [qgt._tracked_vector(cache[2, s, 1e-4], ref, state.energy, sel.min_overlap, None)
+             for s in (1, -1)]
+    d = (twins[0] - twins[1]) / (2 * 1e-4)
+    g = np.vdot(d, d) - np.vdot(d, ref) * np.vdot(ref, d)
+    assert fd.values[2, 2] == 0.5 * (g + g.conjugate())
